@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark prints a small table of the rows/series it regenerates (the
-paper is a vision paper, so the "tables" are the quantitative claims listed
-in DESIGN.md / EXPERIMENTS.md); ``print_rows`` keeps the formatting uniform
-so EXPERIMENTS.md can quote the output verbatim.
+paper is a vision paper, so the "tables" are its quantitative claims, one
+``test_bench_*`` module each; the README's Performance section describes
+them); ``print_rows`` keeps the formatting uniform and copy-pastable.
 """
 
 from __future__ import annotations

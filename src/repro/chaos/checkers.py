@@ -402,7 +402,7 @@ def check_gossip_byte_budget(env: ChaosEnv) -> CheckResult:
             result.failures.append(
                 f"{replica.node_id}: digest tree diverged from its store — "
                 f"the incremental maintenance missed an update")
-    if env.pristine_config.drop_rate:
+    if env.network.config.drop_rate:
         # With baseline loss the final acks may legitimately be in flight
         # or lost at measure time; only the O(Δ) ledger applies.
         return result

@@ -465,7 +465,7 @@ def _expected_link_latency(env):
     itself, this reads only deployment knowledge (who is placed where),
     never fault state.
     """
-    config = env.pristine_config
+    config = env.network.config
     matrix = config.delay_matrix
     if matrix is None:
         return None
@@ -499,10 +499,10 @@ def diagnose(env, history: History,
         # pristine fabric reads ~1.0 by construction.
         pristine_latency = 1.0
     else:
-        pristine_latency = (env.pristine_config.base_delay
-                            + env.pristine_config.jitter / 2)
+        pristine_latency = (env.network.config.base_delay
+                            + env.network.config.jitter / 2)
     fabric, _latency_buckets = _fabric_blames(
-        obs, pristine_latency, env.pristine_config.drop_rate)
+        obs, pristine_latency, env.network.config.drop_rate)
     report = DiagnosisReport()
     report.blames.extend(fabric)
     report.blames.extend(_silent_node_blames(obs, client_ids))

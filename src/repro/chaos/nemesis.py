@@ -36,6 +36,14 @@ from repro.cluster import (
     Simulator,
     Topology,
 )
+from repro.cluster.network import (
+    CLOCK,
+    DROP,
+    FABRIC_DELAY,
+    NODE_DELAY,
+    SQUEEZE,
+    Degradation,
+)
 from repro.cluster.node import Node
 from repro.storage import LatticeKVS
 
@@ -58,7 +66,6 @@ class ChaosEnv:
         self.seed = seed
         self.simulator = simulator or Simulator(seed=seed)
         self.network = network or Network(self.simulator, network_config)
-        self.pristine_config = dataclasses.replace(self.network.config)
         self.kvs = kvs
         self.topology = Topology()
         self.injector = FailureInjector(self.simulator, {}, self.topology)
@@ -73,27 +80,15 @@ class ChaosEnv:
         #: crashes.  Clock skews and reshards record nothing: neither is a
         #: path degradation an end-to-end observer could be asked to see.
         self.ground_truth: list[dict] = []
-        # Active link degradations.  Spikes register/unregister here and the
-        # effective config is always *recomputed from pristine*, so
-        # overlapping spikes compose (product of factors, max of drop
-        # rates) and removing any one fault from a schedule cannot change
-        # what the others do — the shrinker's soundness contract.
-        self._latency_factors: list[float] = []
-        self._drop_rates: list[float] = []
-        # Active clock skews: (node_id, offset, drift), same compose/restore
-        # discipline as the link spikes.  Slow-node factors live in the
-        # Network itself (the single owner of per-node delay state); the
-        # checker bound reads them back via ``Network.slowed_nodes``.
-        self._clock_skews: list[tuple[Hashable, float, float]] = []
         #: Worst link delay (base + jitter, times the worst pair of
         #: slow-node factors) seen at any point of the run — latency spikes
         #: and slow-node faults raise it.  The CALM checker's latency bound
-        #: must scale with it, not with the pristine config.  A
+        #: must scale with it, not with the configured delays.  A
         #: :class:`~repro.cluster.DelayMatrix` may pin per-domain delays
         #: above ``base_delay`` (cross-region links), so the worst matrix
         #: entry joins the baseline.
-        self.max_link_delay = (self._worst_base_delay(self.network.config)
-                               + self.network.config.jitter)
+        self.max_link_delay = 0.0
+        self._raise_link_delay_bound()
         #: High-water mark of any node's timer drift — skewed local clocks
         #: stretch cadences and RPC retry timers, so latency bounds scale
         #: with it.
@@ -157,63 +152,77 @@ class ChaosEnv:
         self.ground_truth.append({
             "kind": kind, "subject": subject, "start": start, "end": end})
 
-    def push_latency_factor(self, factor: float) -> None:
-        self._latency_factors.append(factor)
-        self._apply_link_degradations()
+    # -- degradations: handles in the Network's ledger ---------------------------
 
-    def pop_latency_factor(self, factor: float) -> None:
-        self._latency_factors.remove(factor)
-        self._apply_link_degradations()
+    def push_latency_factor(self, factor: float) -> Degradation:
+        """Stretch every link's delay (base, jitter, matrix) by ``factor``."""
+        return self._degrade(FABRIC_DELAY, factor)
 
-    def push_drop_rate(self, drop_rate: float) -> None:
-        self._drop_rates.append(drop_rate)
-        self._apply_link_degradations()
+    def push_drop_rate(self, drop_rate: float) -> Degradation:
+        """Raise the fabric's drop probability to at least ``drop_rate``."""
+        return self._degrade(DROP, drop_rate)
 
-    def pop_drop_rate(self, drop_rate: float) -> None:
-        self._drop_rates.remove(drop_rate)
-        self._apply_link_degradations()
-
-    def push_node_slowdown(self, node_id: Hashable, factor: float) -> None:
+    def push_node_slowdown(self, node_id: Hashable, factor: float) -> Degradation:
         """Degrade every link touching ``node_id`` (the slow-node fault)."""
-        self.network.add_node_delay_factor(node_id, factor)
-        self._apply_link_degradations()
+        return self._degrade(NODE_DELAY, factor, node=node_id)
 
-    def pop_node_slowdown(self, node_id: Hashable, factor: float) -> None:
-        self.network.remove_node_delay_factor(node_id, factor)
-        self._apply_link_degradations()
+    def push_bandwidth_squeeze(self, factor: float) -> Degradation:
+        """Squeeze every link's and NIC's bandwidth (the congestion fault).
 
-    def push_bandwidth_squeeze(self, factor: float):
-        """Squeeze every link's bandwidth (the congestion fault).
-
-        The squeeze state lives in the Network (the single owner of link
-        transmission state); overlapping squeezes compose multiplicatively
-        and restore independently, like the other link degradations.  A
-        config without a bandwidth model is unaffected — bytes only take
-        time when the model prices them.  Returns the squeeze handle; pass
-        it back to :meth:`pop_bandwidth_squeeze` so an expiring window can
-        only ever retire *its own* squeeze (``heal_everything`` may have
-        cleared it already, and a same-factor fault may be active).
+        A config without a bandwidth model is unaffected — bytes only take
+        time when the model prices them.
         """
-        return self.network.add_bandwidth_squeeze(factor)
+        return self._degrade(SQUEEZE, factor)
 
-    def pop_bandwidth_squeeze(self, squeeze) -> None:
-        self.network.remove_bandwidth_squeeze(squeeze)
-
-    def apply_clock_skew(self, node: Node, offset: float, drift: float) -> None:
+    def apply_clock_skew(self, node: Node, offset: float,
+                         drift: float) -> Degradation:
         """Skew ``node``'s local clock: shift its reading, stretch its timers."""
-        node.clock_offset += offset
-        node.timer_drift *= drift
-        self._clock_skews.append((node.node_id, offset, drift))
+        handle = self._degrade(CLOCK, drift, node=node.node_id, offset=offset)
+        self._sync_clock(node)
         self.max_timer_drift = max(self.max_timer_drift, node.timer_drift)
+        return handle
 
-    def remove_clock_skew(self, node_id: Hashable, offset: float, drift: float) -> None:
-        if (node_id, offset, drift) not in self._clock_skews:
-            return
-        self._clock_skews.remove((node_id, offset, drift))
-        node = self.injector.nodes.get(node_id)
-        if node is not None:  # a reshard may have retired the node
-            node.clock_offset -= offset
-            node.timer_drift /= drift
+    def retire(self, handle: Degradation) -> None:
+        """Retire one degradation by handle identity (idempotent).
+
+        A stale restore — a window ``heal_everything`` already cleared —
+        is a no-op, so it can never retire a later fault with equal fields.
+        """
+        self.network.retire(handle)
+        if handle.kind == CLOCK:
+            node = self.injector.nodes.get(handle.node)
+            if node is not None:  # a reshard may have retired the node
+                self._sync_clock(node)
+
+    # Per-fault names for the restores (perfbench/trace.py wraps them).
+    pop_latency_factor = pop_drop_rate = pop_node_slowdown = retire
+    pop_bandwidth_squeeze = remove_clock_skew = retire
+
+    def _degrade(self, kind: str, value: float, **target) -> Degradation:
+        handle = self.network.degrade(kind, value, **target)
+        self._raise_link_delay_bound()
+        return handle
+
+    def _sync_clock(self, node: Node) -> None:
+        node.clock_offset, node.timer_drift = self.network.clock_skew(
+            node.node_id)
+
+    def _raise_link_delay_bound(self) -> None:
+        network = self.network
+        config = network.config
+        factor = network.fabric_delay_factor
+        worst = config.base_delay * factor
+        if config.delay_matrix is not None:
+            worst = max(worst, config.delay_matrix.max_delay() * factor)
+        # A link's delay is multiplied by the factor product of *both*
+        # endpoints; the worst pair is the two largest per-node products.
+        worst_pair = 1.0
+        for node_factor in sorted(network.slowed_nodes().values(),
+                                  reverse=True)[:2]:
+            worst_pair *= node_factor
+        self.max_link_delay = max(
+            self.max_link_delay,
+            (worst + config.jitter * factor) * worst_pair)
 
     def rpc_retry_allowance(self) -> float:
         """Worst extra latency transport RPC retries can add to an op.
@@ -223,41 +232,6 @@ class ChaosEnv:
         """
         return (self.network.transport_config.rpc.retry_allowance
                 * self.max_timer_drift)
-
-    @staticmethod
-    def _worst_base_delay(config: NetworkConfig) -> float:
-        """The worst pre-jitter delay any link can sample under ``config``.
-
-        Matrix-pinned delays replace ``base_delay`` in ``_sample_delay``
-        and carry the spike stretch through ``delay_stretch``, so the worst
-        (already-stretched) entry competes with the spiked base.
-        """
-        worst = config.base_delay
-        if config.delay_matrix is not None:
-            worst = max(worst,
-                        config.delay_matrix.max_delay() * config.delay_stretch)
-        return worst
-
-    def _apply_link_degradations(self) -> None:
-        config = self.network.config
-        factor = 1.0
-        for spike in self._latency_factors:
-            factor *= spike
-        config.base_delay = self.pristine_config.base_delay * factor
-        config.jitter = self.pristine_config.jitter * factor
-        # Matrix-pinned (geo) links scale through the stretch knob instead
-        # of base_delay; outside spike windows it is exactly 1.0.
-        config.delay_stretch = self.pristine_config.delay_stretch * factor
-        config.drop_rate = max([self.pristine_config.drop_rate] + self._drop_rates)
-        # A link's delay is multiplied by the factor product of *both*
-        # endpoints; the worst pair is the two largest per-node products.
-        worst_pair = 1.0
-        for node_factor in sorted(self.network.slowed_nodes().values(),
-                                  reverse=True)[:2]:
-            worst_pair *= node_factor
-        self.max_link_delay = max(
-            self.max_link_delay,
-            (self._worst_base_delay(config) + config.jitter) * worst_pair)
 
     # -- global heal (the Jepsen "final reads" phase) ------------------------------
 
@@ -269,15 +243,12 @@ class ChaosEnv:
         more loss.
         """
         self.network.heal_all()
-        self._latency_factors.clear()
-        self._drop_rates.clear()
-        self.network.clear_node_delay_factors()
-        self.network.clear_bandwidth_squeezes()
-        self._apply_link_degradations()
-        self.network.config.duplicate_rate = self.pristine_config.duplicate_rate
+        skewed = [handle for handle in self.network.degradations()
+                  if handle.kind == CLOCK]
+        self.network.clear_degradations()
         self.refresh_injector()
-        for node_id, offset, drift in list(self._clock_skews):
-            self.remove_clock_skew(node_id, offset, drift)
+        for handle in skewed:
+            self.retire(handle)
         for node_id in self.crashable_ids():
             node = self.injector.nodes[node_id]
             if not node.alive:
@@ -546,12 +517,13 @@ class LatencySpike(Fault):
     """Multiply link delay by ``factor`` for ``duration``, then restore.
 
     Overlapping spikes compose multiplicatively and restore independently:
-    the effective delay is always recomputed from the pristine config and
-    the set of *currently active* spikes, never from saved-at-start values
-    (which would let one spike's restore re-impose another's degradation).
+    each holds its own handle in the network's degradation ledger, and the
+    effective delay is recomputed from the *currently live* handles, never
+    from saved-at-start values (which would let one spike's restore
+    re-impose another's degradation).
 
     Delays pinned by a :class:`~repro.cluster.DelayMatrix` stretch by the
-    same factor (via ``NetworkConfig.delay_stretch``): a spike models
+    same factor: a spike models
     fabric-wide RTT inflation — bufferbloat, routing flaps — which hits
     long-haul paths too.  Degrading every link by one factor is also what
     keeps the spike *fabric*-shaped for the tomography rules; bandwidth
@@ -567,16 +539,17 @@ class LatencySpike(Fault):
                                   label="nemesis latency-spike")
 
     def _start(self, env: ChaosEnv) -> None:
-        env.push_latency_factor(self.factor)
+        handle = env.push_latency_factor(self.factor)
         env.log_fault(f"latency x{self.factor}")
         env.record_ground_truth("LatencySpike", ("fabric",),
                                 env.simulator.now,
                                 env.simulator.now + self.duration)
-        env.simulator.schedule(self.duration, lambda: self._restore(env),
+        env.simulator.schedule(self.duration,
+                               lambda: self._restore(env, handle),
                                label="nemesis latency-restore")
 
-    def _restore(self, env: ChaosEnv) -> None:
-        env.pop_latency_factor(self.factor)
+    def _restore(self, env: ChaosEnv, handle: Degradation) -> None:
+        env.pop_latency_factor(handle)
         env.log_fault("latency restored")
 
     def window(self) -> tuple[float, float]:
@@ -587,8 +560,8 @@ class LatencySpike(Fault):
 class DropSpike(Fault):
     """Raise the message drop probability for ``duration``, then restore.
 
-    Overlapping spikes compose as the max of the active rates (see
-    :class:`LatencySpike` for why restore is recompute-from-pristine).
+    Overlapping spikes compose as the max of the live rates (see
+    :class:`LatencySpike` for why restore recomputes from the live set).
     """
 
     duration: float = 40.0
@@ -599,16 +572,17 @@ class DropSpike(Fault):
                                   label="nemesis drop-spike")
 
     def _start(self, env: ChaosEnv) -> None:
-        env.push_drop_rate(self.drop_rate)
-        env.log_fault(f"drop_rate -> {env.network.config.drop_rate}")
+        handle = env.push_drop_rate(self.drop_rate)
+        env.log_fault(f"drop_rate -> {env.network.drop_rate}")
         env.record_ground_truth("DropSpike", ("fabric",),
                                 env.simulator.now,
                                 env.simulator.now + self.duration)
-        env.simulator.schedule(self.duration, lambda: self._restore(env),
+        env.simulator.schedule(self.duration,
+                               lambda: self._restore(env, handle),
                                label="nemesis drop-restore")
 
-    def _restore(self, env: ChaosEnv) -> None:
-        env.pop_drop_rate(self.drop_rate)
+    def _restore(self, env: ChaosEnv, handle: Degradation) -> None:
+        env.pop_drop_rate(handle)
         env.log_fault("drop_rate restored")
 
     def window(self) -> tuple[float, float]:
@@ -624,7 +598,7 @@ class Congestion(Fault):
     so large envelopes (full-store gossip syncs, fan-out bursts) serialize
     slowly and queue behind each other while small control traffic barely
     notices — exactly the failure mode that distinguishes delta gossip from
-    snapshot gossip.  RNG-free and recompute-from-active like the other
+    snapshot gossip.  RNG-free and recompute-from-live like the other
     spikes: overlapping congestions compose multiplicatively and restore
     independently, and :class:`SlowNode` factors compose multiplicatively
     on top (a slow node's links serialize slower still).  On a config with
@@ -639,21 +613,17 @@ class Congestion(Fault):
                                   label="nemesis congestion")
 
     def _start(self, env: ChaosEnv) -> None:
-        # The handle travels through the restore closure (a frozen fault
-        # can't store it): retiring by identity means this window expiring
-        # can never un-squeeze a *different* congestion that reused the
-        # same factor after ``heal_everything`` cleared this one.
-        squeeze = env.push_bandwidth_squeeze(self.factor)
+        handle = env.push_bandwidth_squeeze(self.factor)
         env.log_fault(f"congestion /{self.factor}")
         env.record_ground_truth("Congestion", ("fabric",),
                                 env.simulator.now,
                                 env.simulator.now + self.duration)
         env.simulator.schedule(self.duration,
-                               lambda: self._restore(env, squeeze),
+                               lambda: self._restore(env, handle),
                                label="nemesis congestion-restore")
 
-    def _restore(self, env: ChaosEnv, squeeze) -> None:
-        env.pop_bandwidth_squeeze(squeeze)
+    def _restore(self, env: ChaosEnv, handle: Degradation) -> None:
+        env.pop_bandwidth_squeeze(handle)
         env.log_fault("congestion restored")
 
     def window(self) -> tuple[float, float]:
@@ -687,18 +657,18 @@ class SlowNode(Fault):
         if not targets:
             return
         node_id = targets[self.index % len(targets)]
-        env.push_node_slowdown(node_id, self.factor)
+        handle = env.push_node_slowdown(node_id, self.factor)
         env.log_fault(f"slow-node {node_id} x{self.factor}")
         env.record_ground_truth("SlowNode", ("node", node_id),
                                 env.simulator.now,
                                 env.simulator.now + self.duration)
         env.simulator.schedule(self.duration,
-                               lambda: self._restore(env, node_id),
+                               lambda: self._restore(env, handle),
                                label=f"nemesis slow-node-restore-{self.index}")
 
-    def _restore(self, env: ChaosEnv, node_id: Hashable) -> None:
-        env.pop_node_slowdown(node_id, self.factor)
-        env.log_fault(f"slow-node {node_id} restored")
+    def _restore(self, env: ChaosEnv, handle: Degradation) -> None:
+        env.pop_node_slowdown(handle)
+        env.log_fault(f"slow-node {handle.node} restored")
 
     def window(self) -> tuple[float, float]:
         return (self.at, self.at + self.duration)
@@ -712,8 +682,9 @@ class ClockSkew(Fault):
     every timer the node arms while skewed (> 1 is a slow local clock firing
     cadences late — gossip rounds, RPC retries, 2PC vote timeouts).  The
     target is picked by ``index`` into the sorted crashable ids at fire
-    time.  Restore subtracts/divides exactly what was applied, so
-    overlapping skews on one node compose and restore independently.
+    time.  Each skew is one handle in the network's degradation ledger,
+    so overlapping skews on one node compose (offsets add, drifts
+    multiply) and restore independently.
     """
 
     index: int = 0
@@ -731,16 +702,17 @@ class ClockSkew(Fault):
         if not targets:
             return
         node_id = targets[self.index % len(targets)]
-        env.apply_clock_skew(env.injector.nodes[node_id], self.offset, self.drift)
+        handle = env.apply_clock_skew(env.injector.nodes[node_id],
+                                      self.offset, self.drift)
         env.log_fault(f"clock-skew {node_id} offset={self.offset} drift={self.drift}")
         env.simulator.schedule(self.duration,
-                               lambda: self._restore(env, node_id),
+                               lambda: self._restore(env, handle),
                                label=f"nemesis clock-skew-restore-{self.index}")
 
-    def _restore(self, env: ChaosEnv, node_id: Hashable) -> None:
+    def _restore(self, env: ChaosEnv, handle: Degradation) -> None:
         env.refresh_injector()
-        env.remove_clock_skew(node_id, self.offset, self.drift)
-        env.log_fault(f"clock-skew {node_id} restored")
+        env.remove_clock_skew(handle)
+        env.log_fault(f"clock-skew {handle.node} restored")
 
     def window(self) -> tuple[float, float]:
         return (self.at, self.at + self.duration)

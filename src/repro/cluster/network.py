@@ -181,12 +181,6 @@ class NetworkConfig:
     bandwidth: Optional[float] = None
     #: Per-domain-pair delay/bandwidth overrides; ``None`` means none.
     delay_matrix: Optional[DelayMatrix] = None
-    #: Multiplier on matrix-pinned delays (``base_delay`` links are already
-    #: covered by fault code scaling ``base_delay`` itself).  The chaos
-    #: harness's latency spikes set this so fabric-wide RTT inflation
-    #: (bufferbloat, routing flaps) degrades locality-priced long-haul
-    #: links too, not only the base-priced ones.
-    delay_stretch: float = 1.0
     #: Bytes per tick a node's shared NIC transmits.  Unlike ``bandwidth``
     #: (per ``(src, dst)`` pair), this queue is shared by *all* of a node's
     #: links: outbound messages serialize through the sender's uplink
@@ -230,18 +224,37 @@ class Partition:
                 and source in self.group_b and destination in self.group_a)
 
 
+#: Degradation kinds, and how the live handles of one kind compose:
+#: ``FABRIC_DELAY`` multiplies every link's propagation delay (product),
+#: ``DROP`` raises the drop probability (max with the config's),
+#: ``NODE_DELAY`` multiplies every link touching ``node`` (product per node),
+#: ``SQUEEZE`` divides every link's and NIC's bandwidth (product), and
+#: ``CLOCK`` shifts ``node``'s clock by ``offset`` (sum) and stretches its
+#: timers by ``value`` (product).
+FABRIC_DELAY = "fabric-delay"
+DROP = "drop"
+NODE_DELAY = "node-delay"
+SQUEEZE = "squeeze"
+CLOCK = "clock"
+DEGRADATION_KINDS = (FABRIC_DELAY, DROP, NODE_DELAY, SQUEEZE, CLOCK)
+
+
 @dataclass(slots=True, eq=False)
-class BandwidthSqueeze:
-    """Handle for one active congestion squeeze.
+class Degradation:
+    """Handle for one live degradation (see :meth:`Network.degrade`).
 
     Retired by **identity**, like :class:`Partition` handles: two
-    overlapping ``Congestion`` faults with the same factor hold distinct
-    handles, so one window expiring never un-squeezes the other (a
-    value-based ``list.remove`` would conflate them — see
-    :meth:`Network.remove_bandwidth_squeeze`).
+    overlapping faults with equal fields hold distinct handles, so one
+    window expiring — or a stale restore firing after a global heal
+    already cleared its handle — never retires the other.  ``value`` is
+    the multiplier (fabric/node delay, squeeze, clock drift) or the drop
+    probability; ``node`` targets ``NODE_DELAY`` and ``CLOCK`` handles.
     """
 
-    factor: float
+    kind: str
+    value: float
+    node: Hashable = None
+    offset: float = 0.0
 
 
 class Network:
@@ -267,27 +280,28 @@ class Network:
         self._partitions: list[Partition] = []
         self._next_message_id = 0
         self._same_domain: dict[Hashable, Hashable] = {}
-        # Per-node delay multipliers (the slow-node fault): every active
-        # factor on either endpoint multiplies the sampled link delay.
-        # Kept as lists so overlapping faults compose and restore
-        # independently, mirroring the latency-spike contract.
-        self._node_delay_factors: dict[Hashable, list[float]] = {}
+        # The degradation ledger: live handles in application order, and
+        # their composed effects, recomputed only when the set changes so
+        # the send path reads plain cached values.
+        self._degradations: list[Degradation] = []
+        #: Composed ``FABRIC_DELAY`` product.
+        self.fabric_delay_factor = 1.0
+        #: Composed ``SQUEEZE`` product.
+        self.bandwidth_squeeze = 1.0
+        self._spike_drop_rate = 0.0
+        self._node_delay: dict[Hashable, float] = {}
+        self._clock: dict[Hashable, tuple[float, float]] = {}
         # Transmission model state (inert while the model is off):
         #   _link_busy_until   per-(src, dst) FIFO horizon — when the link
         #                      finishes serializing everything enqueued so far
         #   _nic_up_busy /     per-node shared NIC FIFO horizons (uplink at
         #   _nic_down_busy     the sender, downlink at the receiver)
         #   _nic_bandwidth     per-node NIC overrides on top of the config
-        #   _bandwidth_squeezes  active congestion handles; the effective
-        #                      bandwidth is the configured one divided by
-        #                      the product of their factors (identity-retired
-        #                      so overlapping faults restore independently)
         #   _link_stats        per-link byte conservation ledger
         self._link_busy_until: dict[tuple[Hashable, Hashable], float] = {}
         self._nic_up_busy: dict[Hashable, float] = {}
         self._nic_down_busy: dict[Hashable, float] = {}
         self._nic_bandwidth: dict[Hashable, float] = {}
-        self._bandwidth_squeezes: list[BandwidthSqueeze] = []
         self._link_stats: dict[tuple[Hashable, Hashable], dict[str, int]] = {}
         #: (queue_wait, serialization, nic_wait) of the most recent ``send``
         #: call: the primary transmission's cost when that send was priced
@@ -335,78 +349,93 @@ class Network:
         price each link's expected latency under a :class:`DelayMatrix`)."""
         return dict(self._same_domain)
 
-    # -- per-node link degradation (slow-node faults) ----------------------------
+    # -- degradations -----------------------------------------------------------
 
-    def add_node_delay_factor(self, node_id: Hashable, factor: float) -> None:
-        """Multiply every link touching ``node_id`` by ``factor`` until removed."""
-        self._node_delay_factors.setdefault(node_id, []).append(factor)
+    def degrade(self, kind: str, value: float, *, node: Hashable = None,
+                offset: float = 0.0) -> Degradation:
+        """Apply one degradation until the returned handle is retired.
 
-    def remove_node_delay_factor(self, node_id: Hashable, factor: float) -> None:
-        factors = self._node_delay_factors.get(node_id)
-        if factors and factor in factors:
-            factors.remove(factor)
-            if not factors:
-                del self._node_delay_factors[node_id]
-
-    def clear_node_delay_factors(self) -> None:
-        self._node_delay_factors.clear()
-
-    def node_delay_factor(self, node_id: Hashable) -> float:
-        product = 1.0
-        for factor in self._node_delay_factors.get(node_id, ()):
-            product *= factor
-        return product
-
-    def slowed_nodes(self) -> dict[Hashable, float]:
-        """Every node with an active delay factor, with its composed product."""
-        return {node_id: self.node_delay_factor(node_id)
-                for node_id in self._node_delay_factors}
-
-    # -- congestion (bandwidth squeezes) -----------------------------------------
-
-    def add_bandwidth_squeeze(self, factor: float) -> BandwidthSqueeze:
-        """Divide every link's (and NIC's) bandwidth by ``factor`` until the
-        returned handle is removed.
-
-        Only meaningful while the transmission model is on; with no
-        bandwidth configured anywhere, bytes cost no time to squeeze.
+        Bandwidth squeezes only matter while the transmission model is on;
+        with no bandwidth configured anywhere, bytes cost no time to squeeze.
         """
-        if factor <= 0:
-            raise ValueError(f"squeeze factor must be positive, got {factor}")
-        squeeze = BandwidthSqueeze(factor)
-        self._bandwidth_squeezes.append(squeeze)
-        return squeeze
+        if kind not in DEGRADATION_KINDS:
+            raise ValueError(f"unknown degradation kind {kind!r}")
+        if kind == DROP:
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"drop rate must be in [0, 1], got {value}")
+        elif value <= 0:
+            raise ValueError(f"{kind} factor must be positive, got {value}")
+        if (node is None) == (kind in (NODE_DELAY, CLOCK)):
+            raise ValueError(f"node= is required for {NODE_DELAY!r} and "
+                             f"{CLOCK!r} degradations, and only for them")
+        handle = Degradation(kind, value, node, offset)
+        self._degradations.append(handle)
+        self._recompose()
+        return handle
 
-    def remove_bandwidth_squeeze(self,
-                                 squeeze: BandwidthSqueeze | float) -> None:
-        """Retire one active squeeze.
+    def retire(self, handle: Degradation) -> None:
+        """Retire one degradation.
 
-        Idempotent.  Pass the handle :meth:`add_bandwidth_squeeze` returned
-        — removal is by handle identity, so a stale restore (a congestion
-        window that was already cleared) can never un-squeeze a *different*
-        fault that happens to use the same factor.  A bare float retires
-        the first active squeeze with that factor (the pre-handle calling
-        convention, kept for direct-driving tests).
+        Idempotent, and removal is by handle identity: a stale restore (a
+        window that a global heal already cleared) can never retire a
+        *different* degradation that happens to carry equal fields.
         """
-        if isinstance(squeeze, BandwidthSqueeze):
-            self._bandwidth_squeezes = [
-                s for s in self._bandwidth_squeezes if s is not squeeze]
-            return
-        for handle in self._bandwidth_squeezes:
-            if handle.factor == squeeze:
-                self._bandwidth_squeezes.remove(handle)
-                return
+        live = [h for h in self._degradations if h is not handle]
+        if len(live) != len(self._degradations):
+            self._degradations = live
+            self._recompose()
 
-    def clear_bandwidth_squeezes(self) -> None:
-        self._bandwidth_squeezes.clear()
+    def clear_degradations(self) -> None:
+        """Retire every live degradation (the global heal)."""
+        self._degradations.clear()
+        self._recompose()
+
+    def degradations(self) -> list[Degradation]:
+        """The live handles, in application order."""
+        return list(self._degradations)
+
+    def _recompose(self) -> None:
+        fabric = squeeze = 1.0
+        drop = 0.0
+        node_delay: dict[Hashable, float] = {}
+        clock: dict[Hashable, tuple[float, float]] = {}
+        for handle in self._degradations:
+            kind = handle.kind
+            if kind == FABRIC_DELAY:
+                fabric *= handle.value
+            elif kind == DROP:
+                drop = max(drop, handle.value)
+            elif kind == NODE_DELAY:
+                node_delay[handle.node] = (node_delay.get(handle.node, 1.0)
+                                           * handle.value)
+            elif kind == SQUEEZE:
+                squeeze *= handle.value
+            else:
+                offset, drift = clock.get(handle.node, (0.0, 1.0))
+                clock[handle.node] = (offset + handle.offset,
+                                      drift * handle.value)
+        self.fabric_delay_factor = fabric
+        self.bandwidth_squeeze = squeeze
+        self._spike_drop_rate = drop
+        self._node_delay = node_delay
+        self._clock = clock
 
     @property
-    def bandwidth_squeeze(self) -> float:
-        """The composed product of all active congestion factors."""
-        product = 1.0
-        for squeeze in self._bandwidth_squeezes:
-            product *= squeeze.factor
-        return product
+    def drop_rate(self) -> float:
+        """The effective drop probability: the config's, raised by spikes."""
+        return max(self.config.drop_rate, self._spike_drop_rate)
+
+    def node_delay_factor(self, node_id: Hashable) -> float:
+        """The composed ``NODE_DELAY`` product on ``node_id``."""
+        return self._node_delay.get(node_id, 1.0)
+
+    def slowed_nodes(self) -> dict[Hashable, float]:
+        """Every node with a live delay factor, with its composed product."""
+        return dict(self._node_delay)
+
+    def clock_skew(self, node_id: Hashable) -> tuple[float, float]:
+        """The composed ``CLOCK`` (offset, drift) on ``node_id``."""
+        return self._clock.get(node_id, (0.0, 1.0))
 
     # -- shared NIC queues -------------------------------------------------------
 
@@ -522,44 +551,25 @@ class Network:
         self.messages_sent += 1
         self.bytes_sent += size_bytes
         self.last_transmission = _NO_COST
-        # Both gates are loop-invariant per send; computing them once here
-        # (instead of 2-4 times through the helper methods) is a measurable
-        # win with the link model on, where every message takes this path.
-        model_active = (self.config.bandwidth is not None
-                        or self.config.delay_matrix is not None
-                        or self.config.nic_bandwidth is not None
-                        or bool(self._nic_bandwidth))
+        model_active = self._link_model_active()
         observing = model_active or self.record_delivery_latency
-
-        if not self.is_reachable(source, destination):
-            self.messages_dropped += 1
-            if model_active:
-                stat = self._link_stat((source, destination))
-                stat["enqueued_bytes"] += size_bytes
-                stat["dropped_bytes"] += size_bytes
-            if observing:
-                self.observatory.on_sent((source, destination),
-                                         message.sent_at, size_bytes)
-                self.observatory.on_dropped((source, destination),
-                                            message.sent_at, size_bytes)
-            return message
-        if self.config.drop_rate and self.simulator.rng.random() < self.config.drop_rate:
-            self.messages_dropped += 1
-            if model_active:
-                stat = self._link_stat((source, destination))
-                stat["enqueued_bytes"] += size_bytes
-                stat["dropped_bytes"] += size_bytes
-            if observing:
-                self.observatory.on_sent((source, destination),
-                                         message.sent_at, size_bytes)
-                self.observatory.on_dropped((source, destination),
-                                            message.sent_at, size_bytes)
-            return message
+        link = (source, destination)
+        drop_rate = self.drop_rate
 
         if observing:
-            self.observatory.on_sent((source, destination),
-                                     message.sent_at, size_bytes)
-        timing = self._schedule_delivery(message)
+            self.observatory.on_sent(link, message.sent_at, size_bytes)
+        if (not self.is_reachable(source, destination)
+                or (drop_rate and self.simulator.rng.random() < drop_rate)):
+            self.messages_dropped += 1
+            if model_active:
+                stat = self._link_stat(link)
+                stat["enqueued_bytes"] += size_bytes
+                stat["dropped_bytes"] += size_bytes
+            if observing:
+                self.observatory.on_dropped(link, message.sent_at, size_bytes)
+            return message
+
+        timing = self._schedule_delivery(message, model_active)
         self.last_transmission = timing
         # Message is frozen; the transmission cost rides along out-of-band
         # (like the transport's rpc_state) so callers holding the returned
@@ -572,26 +582,22 @@ class Network:
         ):
             # The duplicate is a real retransmission: it occupies the link
             # (and the byte ledger) a second time.
-            self._schedule_delivery(message)
+            self._schedule_delivery(message, model_active)
         return message
 
     # -- internals --------------------------------------------------------------
 
     def _link_model_active(self) -> bool:
+        """Whether any bandwidth prices a link or NIC (the transmission
+        model), or a matrix shapes delays.  It also gates the per-link byte
+        ledger, and — with ``record_delivery_latency`` as the opt-in while
+        it is off — the ``net.delivery`` recorder and the observatory, so a
+        model-off soak run grows no time series it never reads."""
         config = self.config
         return (config.bandwidth is not None
                 or config.delay_matrix is not None
                 or config.nic_bandwidth is not None
                 or bool(self._nic_bandwidth))
-
-    def _observing(self) -> bool:
-        """Whether the windowed link observatory accumulates samples.
-
-        Same gate as the ``net.delivery`` recorder: always with the
-        transmission model on, opt-in otherwise — a model-off soak run
-        should not grow a per-link time series it never reads.
-        """
-        return self._link_model_active() or self.record_delivery_latency
 
     def _link_stat(self, link: tuple[Hashable, Hashable]) -> dict[str, int]:
         stat = self._link_stats.get(link)
@@ -636,7 +642,10 @@ class Network:
 
     def _sample_delay(self, source: Hashable, destination: Hashable) -> float:
         config = self.config
-        base = config.base_delay
+        # The fabric factor scales base, jitter and matrix delays, but not
+        # ``same_domain_delay``.
+        factor = self.fabric_delay_factor
+        base = config.base_delay * factor
         if config.same_domain_delay is not None or config.delay_matrix is not None:
             # Domain lookups only matter when locality shapes the delay;
             # skipping them on the default config keeps the per-send cost
@@ -654,40 +663,38 @@ class Network:
             if config.delay_matrix is not None:
                 spec = config.delay_matrix.link(source_domain, destination_domain)
                 if spec is not None and spec.delay is not None:
-                    base = spec.delay * config.delay_stretch
-        jitter = config.jitter * self.simulator.rng.random() if config.jitter else 0.0
+                    base = spec.delay * factor
+        jitter = ((config.jitter * factor) * self.simulator.rng.random()
+                  if config.jitter else 0.0)
         delay = base + jitter
-        if self._node_delay_factors:
-            delay *= (self.node_delay_factor(source)
-                      * self.node_delay_factor(destination))
+        node_delay = self._node_delay
+        if node_delay:
+            delay *= (node_delay.get(source, 1.0)
+                      * node_delay.get(destination, 1.0))
         return delay
 
     def _transmit(self, message: Message) -> tuple[float, float, float]:
         """Charge ``message`` through the three-stage transmission pipeline:
         sender uplink NIC → per-link pipe → receiver downlink NIC.
 
-        Returns ``(queue_wait, serialization, nic_wait)`` in ticks — all
-        0.0 while the model is off, so delivery times (and the event trace)
-        match the size-blind network exactly.  Each stage starts when both
-        the message's previous stage and the stage's own FIFO horizon have
-        cleared; a gray-failure node factor multiplies each serialization
+        Only called with the model on (off, every send costs ``_NO_COST``,
+        so delivery times match the size-blind network exactly).  Returns
+        ``(queue_wait, serialization, nic_wait)`` in ticks.  Each stage
+        starts when both the message's previous stage and the stage's own
+        FIFO horizon have cleared; a gray-failure node factor multiplies each serialization
         the degraded endpoint touches exactly once (uplink: sender's; link:
         both; downlink: receiver's) — never the accumulated pipeline time,
         so stacking queue stages does not compound the factor.
         """
-        if not self._link_model_active():
-            return _NO_COST
         link = (message.source, message.destination)
         stat = self._link_stat(link)
         size = message.size_bytes
         stat["enqueued_bytes"] += size
         stat["in_flight_bytes"] += size
-        source_factor = destination_factor = 1.0
-        if self._node_delay_factors:
-            # A slow node's endpoints serialize slowly too: the gray-failure
-            # factor composes multiplicatively with congestion squeezes.
-            source_factor = self.node_delay_factor(message.source)
-            destination_factor = self.node_delay_factor(message.destination)
+        # A slow node's endpoints serialize slowly too: the gray-failure
+        # factor composes multiplicatively with congestion squeezes.
+        source_factor = self._node_delay.get(message.source, 1.0)
+        destination_factor = self._node_delay.get(message.destination, 1.0)
         now = self.simulator.now
         finish = now
         nic_wait = 0.0
@@ -730,8 +737,9 @@ class Network:
             self.max_transmission_delay = total
         return (queue_wait, serialization, nic_wait)
 
-    def _schedule_delivery(self, message: Message) -> tuple[float, float, float]:
-        timing = self._transmit(message)
+    def _schedule_delivery(self, message: Message,
+                           model_active: bool) -> tuple[float, float, float]:
+        timing = self._transmit(message) if model_active else _NO_COST
         delay = self._sample_delay(message.source, message.destination)
         queue_wait, serialization, nic_wait = timing
         self.simulator.schedule(
@@ -745,22 +753,11 @@ class Network:
 
     def _deliver(self, message: Message) -> None:
         link = (message.source, message.destination)
-        model_active = (self.config.bandwidth is not None
-                        or self.config.delay_matrix is not None
-                        or self.config.nic_bandwidth is not None
-                        or bool(self._nic_bandwidth))
+        model_active = self._link_model_active()
         observing = model_active or self.record_delivery_latency
-        if not self.is_reachable(message.source, message.destination):
-            self.messages_dropped += 1
-            if model_active:
-                stat = self._link_stat(link)
-                stat["dropped_bytes"] += message.size_bytes
-                stat["in_flight_bytes"] -= message.size_bytes
-            if observing:
-                self.observatory.on_dropped(link, message.sent_at,
-                                            message.size_bytes)
-            return
-        handler = self._handlers.get(message.destination)
+        handler = (self._handlers.get(message.destination)
+                   if self.is_reachable(message.source, message.destination)
+                   else None)
         if handler is None:
             self.messages_dropped += 1
             if model_active:
@@ -777,8 +774,6 @@ class Network:
             stat["delivered_bytes"] += message.size_bytes
             stat["in_flight_bytes"] -= message.size_bytes
         if observing:
-            # Gated so a model-off soak run does not accumulate one sample
-            # per delivered message it never reads.
             self.metrics.record_latency("net.delivery",
                                         self.simulator.now - message.sent_at)
             self.observatory.on_delivered(link, message.sent_at,

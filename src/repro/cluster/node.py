@@ -71,19 +71,16 @@ class Node:
         mailbox: str,
         payload: Any,
         entries: int = 1,
-        *,
-        size_bytes: Optional[int] = None,
     ) -> Optional[Message]:
         """Send one message immediately (unbatched); crashed nodes send nothing.
 
         ``entries`` declares the payload's key/value entry count; the wire
-        cost is ``wire_size(entries)``.  ``size_bytes`` is a deprecated raw
-        override kept only as a migration path.
+        cost is ``wire_size(entries)``.
         """
         if not self.alive:
             return None
         return self.transport.send_now(destination, mailbox, payload,
-                                       entries=entries, size_bytes=size_bytes)
+                                       entries=entries)
 
     def broadcast(self, destinations, mailbox: str, payload: Any,
                   entries: int = 1) -> None:

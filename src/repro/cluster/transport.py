@@ -32,8 +32,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
-import sys
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional
@@ -69,21 +67,6 @@ def digest_entries(count: int) -> int:
     if count <= 0:
         return 0
     return max(1, -(-count * DIGEST_WIRE_BYTES // WIRE_ENTRY_BYTES))
-
-
-def _caller_site() -> str:
-    """``file:line`` of the frame the size_bytes deprecation attributes to.
-
-    Depth 3 mirrors the warning's ``stacklevel=3`` (this helper, then
-    ``send_now``, then ``Node.send``, then the caller) — the warning is
-    deduplicated per site, so the message must say *which* site or a
-    once-only warning from a 40-file run is unactionable.
-    """
-    try:
-        frame = sys._getframe(3)
-    except ValueError:  # pragma: no cover - shallower stacks than expected
-        return "<unknown>"
-    return f"{frame.f_code.co_filename}:{frame.f_lineno}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,24 +334,15 @@ class Transport:
     # -- sending ------------------------------------------------------------------
 
     def send_now(self, destination: Hashable, mailbox: str, payload: Any,
-                 entries: int = 1,
-                 size_bytes: Optional[int] = None) -> Message:
+                 entries: int = 1) -> Message:
         """Ship one logical message immediately, unframed and unbatched.
 
         This is the compatibility path behind :meth:`Node.send`: the message
         travels under its own mailbox (no envelope), so raw
         ``network.register`` handlers and tests observe it exactly as
-        before.  ``size_bytes`` is the deprecated raw escape hatch.
+        before.
         """
-        if size_bytes is None:
-            size = wire_size(entries)
-        else:
-            warnings.warn(
-                f"raw size_bytes is deprecated (call site {_caller_site()}); "
-                "declare an entry count and let wire_size() price the "
-                "payload",
-                DeprecationWarning, stacklevel=3)
-            size = size_bytes
+        size = wire_size(entries)
         self._account_logical(mailbox, entries)
         self._account_envelope(size, 1)
         message = self.network.send(self.node_id, destination, mailbox, payload,

@@ -18,7 +18,7 @@ miss is still backstopped by the runtime sanitizers and the chaos sweep.
 | RL006 | no wall-clock/RNG module imports inside ``repro.chaos``         |
 | RL007 | no mutable default arguments (lattice/operator aliasing hazard) |
 | RL008 | cadence operators that ``queue()`` must bind a flush (heuristic)|
-| RL009 | nemesis faults that apply a degradation must also retire it     |
+| RL009 | nemesis faults retire each degradation they apply, by its handle|
 """
 
 from __future__ import annotations
@@ -463,13 +463,21 @@ class NemesisWithoutRetire(Rule):
     (which reasons about fault windows) silently loses soundness.
     One-way *topology* changes (``_reshard*``) are exempt: a reshard is
     growth, not a degradation, and has nothing to retire.
+
+    A restore hook must also retire *the handle its apply captured*: a
+    ``_restore*`` that hands a fault field (``self.factor``,
+    ``self.drop_rate``, ...) to a ``pop_*``/``remove_*`` retires by value,
+    so a stale restore after a global heal retires a later fault that
+    happens to carry equal fields.
     """
 
     code = "RL009"
     name = "nemesis-without-retire"
     summary = ("Fault subclasses that apply a degradation (_start/_crash/"
                "_outage) must also retire it (_restore/_recover/_heal or "
-               "a nested heal closure); resharding is exempt")
+               "a nested heal closure), passing pop_*/remove_* the handle "
+               "the apply returned, never a fault field; resharding is "
+               "exempt")
 
     _APPLY_PREFIXES = ("_start", "_crash", "_outage")
     _RESTORE_PREFIXES = ("_restore", "_recover", "_heal")
@@ -485,6 +493,7 @@ class NemesisWithoutRetire(Rule):
             methods = [stmt for stmt in node.body
                        if isinstance(stmt, (ast.FunctionDef,
                                             ast.AsyncFunctionDef))]
+            yield from self._retires_by_value(ctx, methods)
             names = {method.name for method in methods}
             applies = [method for method in methods
                        if method.name.startswith(self._APPLY_PREFIXES)]
@@ -504,6 +513,28 @@ class NemesisWithoutRetire(Rule):
                 "(_restore*/_recover*/_heal* or a nested heal/restore/"
                 "recover closure); the degradation outlives the fault's "
                 "window")
+
+    def _retires_by_value(self, ctx: ModuleContext,
+                          methods: list) -> Iterator[Finding]:
+        for method in methods:
+            if not method.name.startswith(self._RESTORE_PREFIXES):
+                continue
+            for call in ast.walk(method):
+                if not (isinstance(call, ast.Call)
+                        and _terminal_name(call.func).startswith(
+                            ("pop_", "remove_"))):
+                    continue
+                arguments = call.args + [kw.value for kw in call.keywords]
+                if any(isinstance(arg, ast.Attribute)
+                       and isinstance(arg.value, ast.Name)
+                       and arg.value.id == "self" for arg in arguments):
+                    yield self.finding(
+                        ctx, call,
+                        f"{method.name} retires by value (a fault field "
+                        f"passed to {_terminal_name(call.func)}); pass the "
+                        "handle the apply returned, or a stale restore "
+                        "after a global heal retires a later fault with "
+                        "equal fields")
 
     def _has_nested_restore(self, classdef: ast.ClassDef) -> bool:
         for descendant in ast.walk(classdef):

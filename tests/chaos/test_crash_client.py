@@ -163,11 +163,12 @@ class StealthSlowdown(Fault):
     factor: float = 4.0
 
     def _start(self, env):
-        env.push_node_slowdown(self.node_id, self.factor)
-        env.simulator.schedule(self.duration, lambda: self._restore(env))
+        handle = env.push_node_slowdown(self.node_id, self.factor)
+        env.simulator.schedule(self.duration,
+                               lambda: self._restore(env, handle))
 
-    def _restore(self, env):
-        env.pop_node_slowdown(self.node_id, self.factor)
+    def _restore(self, env, handle):
+        env.pop_node_slowdown(handle)
 
     def inject(self, env):
         env.simulator.schedule_at(self.at, lambda: self._start(env))

@@ -4,8 +4,8 @@ Pins the geo tier end to end: the delay/bandwidth matrix, the two
 placement policies (locality-aware vs the naive strawman), the wiring
 through ``ChaosConfig`` into a built environment (replica domains, NIC
 pricing, client fallback), DomainOutage interop with the placement, the
-byte-conservation invariant under geo chaos — including mid-flight
-``clear_bandwidth_squeezes`` — and a full scenario smoke run.
+byte-conservation invariant under geo chaos — including a mid-flight
+``clear_degradations`` — and a full scenario smoke run.
 """
 
 import dataclasses
@@ -144,10 +144,11 @@ class TestGeoEnvironment:
 
     def test_latency_spike_stretches_matrix_delays(self):
         env = build_env(1, geo_config())
+        constructed = dataclasses.replace(env.network.config)
         Nemesis(env, [LatencySpike(at=5.0, duration=10.0,
                                    factor=4.0)]).start()
         env.simulator.run(until=6.0)
-        assert env.network.config.delay_stretch == pytest.approx(4.0)
+        assert env.network.fabric_delay_factor == pytest.approx(4.0)
         replicas = env.kvs.shards[0]
         arrivals = []
         replicas[1].on("probe", lambda msg: arrivals.append(
@@ -161,15 +162,16 @@ class TestGeoEnvironment:
         assert arrivals
         assert arrivals[0] - start >= 4.0 * INTRA_REGION_DELAY
         env.simulator.run(until=40.0)
-        assert env.network.config.delay_stretch == pytest.approx(1.0)
+        assert env.network.fabric_delay_factor == pytest.approx(1.0)
+        assert env.network.config == constructed  # never written
 
 
 class TestGeoByteConservation:
     def test_conservation_holds_under_partitions_drops_and_squeeze_clears(self):
         """The per-link ledger balances under the geo profile's full fault
-        mix — including an operator-style ``clear_bandwidth_squeezes``
-        landing *mid* congestion window, which retires the squeeze while
-        messages priced under it are still in flight."""
+        mix — including an operator-style ``clear_degradations`` landing
+        *mid* congestion window, which retires the squeeze (and the drop
+        spike) while messages priced under it are still in flight."""
         env = build_env(3, geo_config())
         schedule = [
             PartitionStorm(at=10.0, duration=25.0, waves=2, gap=10.0),
@@ -178,7 +180,7 @@ class TestGeoByteConservation:
         ]
         Nemesis(env, schedule).start()
         env.simulator.schedule(
-            30.0, env.network.clear_bandwidth_squeezes,
+            30.0, env.network.clear_degradations,
             label="operator clears congestion mid-window")
         # Cross-shard probe traffic through every fault window: sends land
         # before, during and after the partitions, the drop spike, the

@@ -1,6 +1,10 @@
 """Unit tests for the chaos environment and fault primitives."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import (
     ChaosConfig,
@@ -19,11 +23,13 @@ from repro.chaos import (
     schedule_to_dicts,
     standard_schedule,
 )
+from repro.chaos.nemesis import ChaosEnv
+from repro.cluster import Node, NetworkConfig
+from repro.cluster.network import CLOCK, DROP, FABRIC_DELAY, NODE_DELAY, SQUEEZE
 from repro.lattices import SetUnion
 
 
 def build(seed=1, **overrides):
-    import dataclasses
     config = dataclasses.replace(ChaosConfig(), **overrides)
     return build_env(seed, config), config
 
@@ -224,14 +230,11 @@ class TestCongestion:
         env.simulator.run(until=60.0)  # second window expired at 55
         assert env.network.bandwidth_squeeze == pytest.approx(1.0)
 
-    def test_pop_is_idempotent_and_legacy_floats_still_retire(self):
+    def test_pop_is_idempotent(self):
         env, _ = self.build_priced()
         handle = env.push_bandwidth_squeeze(3.0)
         env.pop_bandwidth_squeeze(handle)
         env.pop_bandwidth_squeeze(handle)  # stale second pop: no-op
-        assert env.network.bandwidth_squeeze == pytest.approx(1.0)
-        env.network.add_bandwidth_squeeze(5.0)
-        env.network.remove_bandwidth_squeeze(5.0)  # pre-handle convention
         assert env.network.bandwidth_squeeze == pytest.approx(1.0)
 
     def test_heal_everything_clears_squeezes(self):
@@ -302,11 +305,13 @@ class TestCrashReplica:
 class TestSpikes:
     def test_latency_spike_restores_and_tracks_max(self):
         env, config = build()
+        constructed = dataclasses.replace(env.network.config)
         Nemesis(env, [LatencySpike(at=5.0, duration=10.0, factor=4.0)]).start()
         env.simulator.run(until=7.0)
-        assert env.network.config.base_delay == pytest.approx(config.base_delay * 4)
+        assert env.network.fabric_delay_factor == pytest.approx(4.0)
+        assert env.network.config == constructed  # never written
         env.simulator.run(until=20.0)
-        assert env.network.config.base_delay == pytest.approx(config.base_delay)
+        assert env.network.fabric_delay_factor == 1.0
         assert env.max_link_delay == pytest.approx(
             (config.base_delay + config.jitter) * 4)
 
@@ -314,26 +319,24 @@ class TestSpikes:
         env, config = build()
         Nemesis(env, [DropSpike(at=5.0, duration=10.0, drop_rate=0.9)]).start()
         env.simulator.run(until=7.0)
-        assert env.network.config.drop_rate == 0.9
-        env.simulator.run(until=20.0)
+        assert env.network.drop_rate == 0.9
         assert env.network.config.drop_rate == config.drop_rate
+        env.simulator.run(until=20.0)
+        assert env.network.drop_rate == config.drop_rate
 
     def test_overlapping_latency_spikes_compose_and_fully_restore(self):
         """A spike's restore must not re-impose another spike's degraded
-        values: effective delay is recomputed from pristine + active set."""
-        env, config = build()
+        values: the effective factor is recomputed from the live set."""
+        env, _ = build()
         schedule = [LatencySpike(at=10.0, duration=40.0, factor=6.0),
                     LatencySpike(at=30.0, duration=40.0, factor=6.0)]
         Nemesis(env, schedule).start()
         env.simulator.run(until=35.0)  # both active: factors multiply
-        assert env.network.config.base_delay == pytest.approx(
-            config.base_delay * 36)
+        assert env.network.fabric_delay_factor == pytest.approx(36.0)
         env.simulator.run(until=55.0)  # first ended, second still active
-        assert env.network.config.base_delay == pytest.approx(
-            config.base_delay * 6)
-        env.simulator.run(until=80.0)  # both ended: pristine again
-        assert env.network.config.base_delay == pytest.approx(config.base_delay)
-        assert env.network.config.jitter == pytest.approx(config.jitter)
+        assert env.network.fabric_delay_factor == pytest.approx(6.0)
+        env.simulator.run(until=80.0)  # both ended: undegraded again
+        assert env.network.fabric_delay_factor == 1.0
 
     def test_overlapping_drop_spikes_take_max_and_fully_restore(self):
         env, config = build()
@@ -341,11 +344,11 @@ class TestSpikes:
                     DropSpike(at=30.0, duration=40.0, drop_rate=0.6)]
         Nemesis(env, schedule).start()
         env.simulator.run(until=35.0)
-        assert env.network.config.drop_rate == 0.6
+        assert env.network.drop_rate == 0.6
         env.simulator.run(until=55.0)
-        assert env.network.config.drop_rate == 0.6  # 0.3-spike gone, max holds
+        assert env.network.drop_rate == 0.6  # 0.3-spike gone, max holds
         env.simulator.run(until=80.0)
-        assert env.network.config.drop_rate == config.drop_rate
+        assert env.network.drop_rate == config.drop_rate
 
 
 class TestSlowNode:
@@ -569,5 +572,148 @@ class TestHealEverything:
         assert any(not node.alive for node in env.kvs.all_nodes())
         env.heal_everything()
         assert env.network._partitions == []
-        assert env.network.config.drop_rate == config.drop_rate
+        assert env.network.drop_rate == config.drop_rate
+        assert env.network.degradations() == []
         assert all(node.alive for node in env.kvs.all_nodes())
+
+
+class TestStaleRestoreAfterHeal:
+    """A heal mid-window clears a fault early; that fault's restore timer
+    still fires later.  Retiring by value used to hit whatever live
+    degradation carried equal fields — a *later* fault's — or crash on the
+    missing value.  Every sequence: fault A at t=10 (40 ticks), a global
+    heal at t=20, an equal fault B at t=30 (100 ticks); A's stale restore
+    fires at t=50 and B must still hold at t=60."""
+
+    def run_sequence(self, env, first, second):
+        Nemesis(env, [first, second]).start()
+        env.simulator.schedule_at(20.0, env.heal_everything,
+                                  label="operator heals mid-window")
+        env.simulator.run(until=60.0)
+
+    def test_stale_slow_node_restore_keeps_the_later_slowdown(self):
+        env, _ = build()
+        target = env.partitionable_ids()[2]
+        self.run_sequence(
+            env, SlowNode(at=10.0, index=2, duration=40.0, factor=3.0),
+            SlowNode(at=30.0, index=2, duration=100.0, factor=3.0))
+        assert env.network.node_delay_factor(target) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("spike", [
+        LatencySpike(at=10.0, duration=40.0, factor=6.0),
+        DropSpike(at=10.0, duration=40.0, drop_rate=0.4),
+    ], ids=["latency", "drop"])
+    def test_stale_spike_restore_is_a_no_op(self, spike):
+        env, config = build()
+        Nemesis(env, [spike]).start()
+        env.simulator.schedule_at(20.0, env.heal_everything,
+                                  label="operator heals mid-window")
+        env.simulator.run(until=60.0)  # the stale restore fired at t=50
+        assert env.network.fabric_delay_factor == 1.0
+        assert env.network.drop_rate == config.drop_rate
+
+    def test_stale_clock_skew_restore_keeps_the_later_skew(self):
+        env, _ = build()
+        node = env.injector.nodes[env.crashable_ids()[1]]
+        self.run_sequence(
+            env, ClockSkew(at=10.0, index=1, duration=40.0, offset=15.0,
+                           drift=1.25),
+            ClockSkew(at=30.0, index=1, duration=100.0, offset=15.0,
+                      drift=1.25))
+        assert node.timer_drift == pytest.approx(1.25)
+        assert node.clock_offset == pytest.approx(15.0)
+
+
+NODES = ("n0", "n1", "n2")
+_factor = st.sampled_from([0.5, 1.5, 2.0, 3.0, 4.0])
+#: One application: (kind, value, target node or None, clock offset).
+_apply = st.one_of(
+    st.tuples(st.just(FABRIC_DELAY), _factor, st.none(), st.just(0.0)),
+    st.tuples(st.just(DROP), st.sampled_from([0.0, 0.1, 0.25, 0.9]),
+              st.none(), st.just(0.0)),
+    st.tuples(st.just(NODE_DELAY), _factor, st.sampled_from(NODES),
+              st.just(0.0)),
+    st.tuples(st.just(SQUEEZE), _factor, st.none(), st.just(0.0)),
+    st.tuples(st.just(CLOCK), st.sampled_from([0.8, 1.25, 2.0]),
+              st.sampled_from(NODES), st.sampled_from([-4.0, 0.5, 15.0])),
+)
+_operation = st.one_of(
+    st.tuples(st.just("apply"), _apply),
+    # Index into every handle ever applied: live, stale and retired alike.
+    st.tuples(st.just("retire"), st.integers(min_value=0, max_value=30)),
+    st.tuples(st.just("heal"), st.none()),
+)
+
+
+def _product(values):
+    result = 1.0
+    for value in values:
+        result *= value
+    return result
+
+
+def _assert_effects_match(env, nodes, live_specs, constructed):
+    """Each cached effect equals the composition of ``live_specs``
+    (``(handle, kind, value, node, offset)`` in application order)."""
+
+    def values(kind, node=None):
+        return [value for _, k, value, n, _ in live_specs
+                if k == kind and n == node]
+
+    network = env.network
+    assert network.degradations() == [spec[0] for spec in live_specs]
+    assert network.fabric_delay_factor == pytest.approx(
+        _product(values(FABRIC_DELAY)))
+    assert network.bandwidth_squeeze == pytest.approx(
+        _product(values(SQUEEZE)))
+    assert network.drop_rate == max([constructed.drop_rate]
+                                    + values(DROP))
+    assert network.slowed_nodes() == pytest.approx(
+        {node: _product(values(NODE_DELAY, node)) for node in NODES
+         if values(NODE_DELAY, node)})
+    for node_id, node in nodes.items():
+        skew = (sum(offset for _, k, _, n, offset in live_specs
+                    if k == CLOCK and n == node_id),
+                _product(values(CLOCK, node_id)))
+        assert network.clock_skew(node_id) == pytest.approx(skew)
+        assert (node.clock_offset, node.timer_drift) == pytest.approx(skew)
+    assert network.config == constructed
+
+
+class TestDegradationLedgerProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_operation, max_size=30))
+    def test_cached_effects_equal_the_composition_of_live_handles(self, ops):
+        env = ChaosEnv(0, NetworkConfig(drop_rate=0.05, bandwidth=100.0))
+        nodes = {node_id: Node(node_id, env.simulator, env.network)
+                 for node_id in NODES}
+        env.register_crashable(list(nodes.values()))
+        constructed = dataclasses.replace(env.network.config)
+        push = {FABRIC_DELAY: env.push_latency_factor,
+                DROP: env.push_drop_rate,
+                SQUEEZE: env.push_bandwidth_squeeze}
+        pop = {FABRIC_DELAY: env.pop_latency_factor,
+               DROP: env.pop_drop_rate, NODE_DELAY: env.pop_node_slowdown,
+               SQUEEZE: env.pop_bandwidth_squeeze,
+               CLOCK: env.remove_clock_skew}
+        applied = []     # every application, live or not
+        live_specs = []  # the model: live applications, in order
+        for op, arg in ops:
+            if op == "apply":
+                kind, value, node, offset = arg
+                if kind == NODE_DELAY:
+                    handle = env.push_node_slowdown(node, value)
+                elif kind == CLOCK:
+                    handle = env.apply_clock_skew(nodes[node], offset, value)
+                else:
+                    handle = push[kind](value)
+                applied.append((handle, kind, value, node, offset))
+                live_specs.append(applied[-1])
+            elif op == "retire" and applied:
+                spec = applied[arg % len(applied)]
+                pop[spec[1]](spec[0])
+                live_specs = [live for live in live_specs if live is not spec]
+            elif op == "heal":
+                env.heal_everything()
+                live_specs = []
+            _assert_effects_match(env, nodes, live_specs, constructed)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.network import NODE_DELAY, SQUEEZE
 from repro.cluster import (
     DelayMatrix,
     Network,
@@ -78,7 +79,7 @@ class TestSerializationTime:
         the queue never reorders, whatever the sizes."""
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=50.0))
-        net.add_bandwidth_squeeze(4.0)  # effective 12.5 B/tick
+        net.degrade(SQUEEZE, 4.0)  # effective 12.5 B/tick
         nodes["a"].send("b", "inbox", "big", entries=20)
         nodes["a"].send("b", "inbox", "tiny", entries=0)
         nodes["a"].send("b", "inbox", "mid", entries=3)
@@ -121,12 +122,12 @@ class TestCongestionAndSlowNodes:
     def test_squeezes_compose_multiplicatively_and_restore(self):
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=100.0))
-        net.add_bandwidth_squeeze(2.0)
-        net.add_bandwidth_squeeze(3.0)
+        double = net.degrade(SQUEEZE, 2.0)
+        net.degrade(SQUEEZE, 3.0)
         assert net.effective_bandwidth("a", "b") == pytest.approx(100.0 / 6.0)
-        net.remove_bandwidth_squeeze(2.0)
+        net.retire(double)
         assert net.effective_bandwidth("a", "b") == pytest.approx(100.0 / 3.0)
-        net.clear_bandwidth_squeezes()
+        net.clear_degradations()
         assert net.effective_bandwidth("a", "b") == pytest.approx(100.0)
 
     def test_slow_node_multiplies_serialization_too(self):
@@ -134,7 +135,7 @@ class TestCongestionAndSlowNodes:
         compose multiplicatively with the bandwidth model."""
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=100.0))
-        net.add_node_delay_factor("b", 4.0)
+        net.degrade(NODE_DELAY, 4.0, node="b")
         nodes["a"].send("b", "inbox", "x", entries=1)
         sim.run_until_idle()
         # Propagation 1.0 x 4 plus serialization 1.2 x 4.
@@ -143,7 +144,7 @@ class TestCongestionAndSlowNodes:
     def test_invalid_squeeze_rejected(self):
         sim, net, nodes, _ = build(NetworkConfig(bandwidth=100.0))
         with pytest.raises(ValueError):
-            net.add_bandwidth_squeeze(0.0)
+            net.degrade(SQUEEZE, 0.0)
 
 
 class TestDelayMatrix:

@@ -3,8 +3,8 @@
 Three contract families:
 
 * **Typed envelopes** — wire cost always derives from declared entry
-  counts; ``Network.send`` no longer has a size default, and the raw
-  ``size_bytes`` escape hatch warns.
+  counts; ``Network.send`` has no size default, and nodes and transports
+  take no raw ``size_bytes`` at all.
 * **Batching** — same-instant parcels to one destination share an envelope
   (one header), flush order is deterministic, crashed senders ship nothing,
   and batched delivery is observation-equivalent to unbatched delivery for
@@ -13,8 +13,6 @@ Three contract families:
   duplicate suppression (memoized replies) and requester-side duplicate
   reply suppression; forwards preserve reply routing.
 """
-
-import warnings
 
 import pytest
 
@@ -59,49 +57,6 @@ class TestTypedSizing:
         before = net.bytes_sent
         a.send("b", "inbox", "ack", entries=0)
         assert net.bytes_sent - before == WIRE_HEADER_BYTES
-
-    def test_raw_size_bytes_is_a_deprecation_path(self):
-        sim, net, a, b = build_pair()
-        with pytest.warns(DeprecationWarning):
-            a.send("b", "inbox", "x", size_bytes=999)
-        assert net.bytes_sent == 999
-
-    def test_raw_size_bytes_warning_names_the_call_site(self):
-        """The warning fires once per site (deduplicated), so the message
-        must say *which* site — a once-only 'somewhere in this run' warning
-        from a 40-file tree is unactionable.  Pin: the file:line in the
-        message is exactly the location the warning is attributed to."""
-        sim, net, a, b = build_pair()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            a.send("b", "inbox", "x", size_bytes=111)
-        (warning,) = caught
-        message = str(warning.message)
-        assert "test_transport.py" in message
-        assert f"{warning.filename}:{warning.lineno}" in message
-
-    def test_raw_size_bytes_warns_once_but_bills_every_send(self):
-        """Regression pin for the PR-4 migration seam: under the default
-        warning filter the deprecation fires once per call site (no log
-        spam from a hot loop), while the byte ledger stays honest for
-        every send — the warning being deduplicated must never dedupe the
-        accounting."""
-        sim, net, a, b = build_pair()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(5):
-                a.send("b", "inbox", "x", size_bytes=333)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "wire_size" in str(deprecations[0].message)
-        # The deduplicated message still names the exact loop line.
-        assert (f"{deprecations[0].filename}:{deprecations[0].lineno}"
-                in str(deprecations[0].message))
-        assert net.bytes_sent == 5 * 333
-        # The transport's own ledger billed the raw size too.
-        assert a.transport.bytes_sent == 5 * 333
-        assert a.transport.logical_messages_sent == 5
 
 
 class TestBatching:

@@ -299,12 +299,47 @@ class TestRL009NemesisWithoutRetire:
                     env.simulator.schedule(self.at, lambda: self._start(env))
 
                 def _start(self, env):
-                    env.push_latency_factor(self.factor)
+                    handle = env.push_latency_factor(self.factor)
+                    env.simulator.schedule(self.duration,
+                                           lambda: self._restore(env, handle))
+
+                def _restore(self, env, handle):
+                    env.pop_latency_factor(handle)
+            """, path="src/repro/chaos/mynemesis.py")
+        assert findings == []
+
+    def test_restore_retiring_by_fault_field_is_flagged(self):
+        findings = run_rule("RL009", """\
+            class ValueRetired(Fault):
+                def inject(self, env):
+                    env.simulator.schedule(self.at, lambda: self._start(env))
+
+                def _start(self, env):
+                    env.push_node_slowdown(self.node_id, self.factor)
                     env.simulator.schedule(self.duration,
                                            lambda: self._restore(env))
 
                 def _restore(self, env):
-                    env.pop_latency_factor(self.factor)
+                    env.log_fault("restored")
+                    env.pop_node_slowdown(self.node_id, factor=self.factor)
+            """, path="src/repro/chaos/mynemesis.py")
+        assert locations(findings) == [("RL009", 12)]
+
+    def test_restore_retiring_the_captured_handle_is_clean(self):
+        findings = run_rule("RL009", """\
+            class HandleRetired(Fault):
+                def inject(self, env):
+                    env.simulator.schedule(self.at, lambda: self._start(env))
+
+                def _start(self, env):
+                    handle = env.apply_clock_skew(self.node, self.offset,
+                                                  self.drift)
+                    env.simulator.schedule(self.duration,
+                                           lambda: self._restore(env, handle))
+
+                def _restore(self, env, handle):
+                    env.refresh_injector()
+                    env.remove_clock_skew(handle)
             """, path="src/repro/chaos/mynemesis.py")
         assert findings == []
 
