@@ -1,8 +1,9 @@
 """E13 — O(delta) KVS writes: in-place lattice merges + delta-state gossip.
 
 Quantifies the two halves of the mutation protocol against the seed
-implementation and emits the numbers machine-readably to ``BENCH_kvs.json``
-(repo root) so the perf trajectory is tracked across PRs:
+implementation and emits the numbers machine-readably to
+``.bench_results/BENCH_kvs.json`` so the perf trajectory is tracked across
+PRs:
 
 * **Put throughput**: the seed's immutable put (`MapLattice.insert` — full
   dict copy plus re-validation of every value, O(store) per put) vs. the
@@ -18,18 +19,15 @@ implementation and emits the numbers machine-readably to ``BENCH_kvs.json``
 """
 
 import itertools
-import json
-from pathlib import Path
 
 import pytest
 
-from conftest import print_rows
+from conftest import print_rows, write_bench
 from repro.cluster import Network, NetworkConfig, Simulator, wire_size
 from repro.lattices import GCounter, MapLattice, SetUnion
 from repro.storage import LatticeKVS
 from repro.storage.kvs import ShardNode
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_kvs.json"
 PUTS_PER_ROUND = 100
 RESULTS: dict = {"put_throughput": [], "gossip_bytes_per_round": [],
                  "anti_entropy": []}
@@ -293,7 +291,7 @@ def test_zz_acceptance_and_emit_json():
         "gossip_bytes_per_round": RESULTS["gossip_bytes_per_round"],
         "anti_entropy": RESULTS["anti_entropy"],
     }
-    BENCH_PATH.write_text(json.dumps(summary, indent=2) + "\n")
+    write_bench("BENCH_kvs.json", summary)
 
     print_rows(
         "E13: in-place put speedup over seed immutable path",

@@ -12,7 +12,8 @@ keys, then a steady put trickle while gossip runs for several intervals.
 Measured at three bandwidth tiers (unconstrained = model off, mid,
 constrained), in both gossip modes, reporting the p50/p99 of per-message
 delivery latency (``net.delivery``, stamped by the network on every
-delivered message) to ``BENCH_network.json`` for the CI artifact trail.
+delivered message) to ``.bench_results/BENCH_network.json`` for the CI
+artifact trail.
 
 Asserted floors:
 
@@ -25,16 +26,15 @@ Asserted floors:
 """
 
 import json
-from pathlib import Path
 
-from conftest import print_rows
+from conftest import BENCH_DIR, print_rows, write_bench
 from repro.cluster import Network, NetworkConfig, Simulator
 from repro.lattices import SetUnion
 from repro.placement import locality_aware_domain, naive_domain
 from repro.placement.geo import GEO_NIC_BANDWIDTH, geo_delay_matrix
 from repro.storage import LatticeKVS
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_network.json"
+BENCH_PATH = BENCH_DIR / "BENCH_network.json"
 
 
 def merge_into_bench(payload: dict) -> None:
@@ -44,7 +44,7 @@ def merge_into_bench(payload: dict) -> None:
     if BENCH_PATH.exists():
         existing = json.loads(BENCH_PATH.read_text())
     existing.update(payload)
-    BENCH_PATH.write_text(json.dumps(existing, indent=2) + "\n")
+    write_bench(BENCH_PATH.name, existing)
 
 #: Bandwidth tiers in bytes/tick (None = model off; the pre-model network).
 TIERS = (("unconstrained", None), ("mid", 4096.0), ("constrained", 512.0))

@@ -3,7 +3,7 @@
 Measures what the envelope coalescing of :mod:`repro.cluster.transport`
 buys over the unbatched wire (one envelope per logical message) for the two
 chattiest protocols in the tree, and emits the numbers machine-readably to
-``BENCH_transport.json`` (repo root) so the perf trajectory is tracked
+``.bench_results/BENCH_transport.json`` so the perf trajectory is tracked
 across PRs:
 
 * **Gossip/replication burst**: a put burst against one fully-replicated
@@ -22,10 +22,8 @@ leader-centric Paxos pattern is inherently linear in fan-out; its growth is
 reported for the trajectory but not asserted superlinear.)
 """
 
-import json
-from pathlib import Path
 
-from conftest import print_rows
+from conftest import print_rows, write_bench
 from repro.cluster import (
     Network,
     NetworkConfig,
@@ -36,7 +34,6 @@ from repro.consistency import ConsensusLog
 from repro.lattices import SetUnion
 from repro.storage import LatticeKVS
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_transport.json"
 
 #: Fan-outs measured (peers per node).  5 is the acceptance floor.
 FAN_OUTS = (2, 5)
@@ -140,4 +137,4 @@ def test_transport_batching_cuts_envelopes_and_headers():
           row["header_bytes_saved"]]
          for workload in ("gossip", "paxos") for row in RESULTS[workload]],
     )
-    BENCH_PATH.write_text(json.dumps(RESULTS, indent=2) + "\n")
+    write_bench("BENCH_transport.json", RESULTS)

@@ -354,8 +354,8 @@ def check_gossip_byte_budget(env: ChaosEnv) -> CheckResult:
       come from the ``AckedChannel`` saturation escalation (a peer that
       stopped acking); the counter pair pins that no other code path
       regressed into shipping whole stores;
-    * **digest-tree purity** — every live replica's incrementally-maintained
-      tree must equal a from-scratch rebuild over its store: trees are pure
+    * **digest-tree purity** — every live replica's lazily-maintained tree
+      must equal a from-scratch rebuild over its store: trees are pure
       functions of content, never of operation order or hash seed;
     * **post-heal quiescence** — after the final heal + settle, no live
       replica holds a *stale* unacked round (outstanding past the channel's
@@ -401,7 +401,7 @@ def check_gossip_byte_budget(env: ChaosEnv) -> CheckResult:
         if replica._tree != DigestTree.from_store(replica.store):
             result.failures.append(
                 f"{replica.node_id}: digest tree diverged from its store — "
-                f"the incremental maintenance missed an update")
+                f"a store write never marked the tree")
     if env.network.config.drop_rate:
         # With baseline loss the final acks may legitimately be in flight
         # or lost at measure time; only the O(Δ) ledger applies.

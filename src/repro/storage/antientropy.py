@@ -28,13 +28,25 @@ harness's determinism contract for anything that feeds network payloads.
 Empty buckets are *absent* (digest 0): a bucket whose members cancel out of
 the dict entirely, so "no keys in range" and "range never touched" are the
 same observable state on both sides of an exchange.
+
+Lazy maintenance
+----------------
+
+Writes outnumber tree reads by orders of magnitude (a replica reads its tree
+only when an anti-entropy exchange probes it), and an entry digest hashes the
+*whole* lattice value.  So a store write only marks its key pending
+(:meth:`DigestTree.mark`); every read first folds the pending keys against
+the live store through the value source the tree was built with.  A key
+written many times between two reads is hashed once, and no reader can
+observe a stale tree.  Fold order cannot change any digest, since bucket
+digests are XORs.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Optional
+from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.transport import payload_digest
 from repro.storage.ring import stable_digest, stable_key_bytes
@@ -80,17 +92,18 @@ def entry_digest(key: Hashable, value: Any) -> int:
 
 
 class DigestTree:
-    """An incrementally-maintained hash tree over one replica's store.
+    """A lazily-maintained hash tree over one replica's store.
 
     ``update``/``remove`` cost O(``LEAF_LEVEL``) dict operations per call;
-    the tree is always an exact function of the entries it was fed, so two
+    ``mark`` costs one set insertion and defers the update to the next read.
+    The tree is always an exact function of the entries it was fed, so two
     trees built from equal stores — in any order, under any hash seed — are
     identical level by level.
     """
 
-    __slots__ = ("_levels", "_entries", "_leaf_members")
+    __slots__ = ("_levels", "_entries", "_leaf_members", "_source", "_pending")
 
-    def __init__(self) -> None:
+    def __init__(self, source: Optional[Callable[[Hashable], Any]] = None) -> None:
         # One sparse {bucket: digest} dict per level, root (level 0) first.
         # A bucket's digest is the XOR of its members' entry digests;
         # buckets that XOR to zero are removed, so absent == empty.
@@ -100,6 +113,12 @@ class DigestTree:
         self._entries: dict[Hashable, int] = {}
         #: leaf bucket -> the keys it holds (to enumerate a leaf's summary).
         self._leaf_members: dict[int, set[Hashable]] = {}
+        #: key -> its live value, read when a marked key is folded; required
+        #: only by trees that are ``mark``-ed.  A marked key stays in the
+        #: source until it is folded, removed or cleared.
+        self._source = source
+        #: keys marked since the last fold.
+        self._pending: set[Hashable] = set()
 
     # -- bucket arithmetic -------------------------------------------------------
 
@@ -114,9 +133,8 @@ class DigestTree:
 
     # -- maintenance -------------------------------------------------------------
 
-    def _apply(self, key: Hashable, delta: int) -> None:
-        """XOR ``delta`` through every ancestor bucket of ``key``."""
-        key_digest = stable_digest(key)
+    def _apply(self, key_digest: int, delta: int) -> None:
+        """XOR ``delta`` through every ancestor bucket of ``key_digest``."""
         for level in range(LEAF_LEVEL + 1):
             bucket = self.bucket_of(key_digest, level)
             buckets = self._levels[level]
@@ -126,6 +144,20 @@ class DigestTree:
             else:
                 buckets.pop(bucket, None)
 
+    def mark(self, key: Hashable) -> None:
+        """Note that ``key``'s value changed; the next read folds it in."""
+        self._pending.add(key)
+
+    def _fold(self) -> None:
+        """Bring every pending key up to date with the value source."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, set()
+        source = self._source
+        # Unordered on purpose: XOR buckets make every fold order equal.
+        for key in pending:
+            self.update(key, source(key))
+
     def update(self, key: Hashable, value: Any) -> None:
         """Record ``key``'s (new) value; O(depth) on top of one value digest."""
         new = entry_digest(key, value)
@@ -133,16 +165,20 @@ class DigestTree:
         if old == new:
             return
         self._entries[key] = new
-        self._apply(key, new if old is None else old ^ new)
+        key_digest = stable_digest(key)
+        self._apply(key_digest, new if old is None else old ^ new)
         if old is None:
-            self._leaf_members.setdefault(self.leaf_bucket(key), set()).add(key)
+            leaf = self.bucket_of(key_digest, LEAF_LEVEL)
+            self._leaf_members.setdefault(leaf, set()).add(key)
 
     def remove(self, key: Hashable) -> None:
+        self._pending.discard(key)
         old = self._entries.pop(key, None)
         if old is None:
             return
-        self._apply(key, old)
-        leaf = self.leaf_bucket(key)
+        key_digest = stable_digest(key)
+        self._apply(key_digest, old)
+        leaf = self.bucket_of(key_digest, LEAF_LEVEL)
         members = self._leaf_members.get(leaf)
         if members is not None:
             members.discard(key)
@@ -154,17 +190,21 @@ class DigestTree:
             level.clear()
         self._entries.clear()
         self._leaf_members.clear()
+        self._pending.clear()
 
-    # -- reads (all pure; payload builders must keep sorted order) ----------------
+    # -- reads (all fold first and are pure; payload builders keep sorted order) --
 
     def root(self) -> int:
+        self._fold()
         return self._levels[0].get(0, 0)
 
     def digest(self, level: int, bucket: int) -> int:
+        self._fold()
         return self._levels[level].get(bucket, 0)
 
     def child_digests(self, level: int, bucket: int) -> dict[int, int]:
         """Non-empty children of ``bucket`` at ``level + 1``, in bucket order."""
+        self._fold()
         child_level = self._levels[level + 1]
         base = bucket << TREE_FANOUT_BITS
         return {child: child_level[child]
@@ -173,6 +213,7 @@ class DigestTree:
 
     def leaf_summary(self, bucket: int) -> dict[Hashable, int]:
         """The leaf's {key: entry digest} map, built in sorted-key order."""
+        self._fold()
         members = self._leaf_members.get(bucket)
         if not members:
             return {}
@@ -180,6 +221,7 @@ class DigestTree:
         return {key: entries[key] for key in sorted(members, key=repr)}
 
     def __len__(self) -> int:
+        self._fold()
         return len(self._entries)
 
     # -- verification ------------------------------------------------------------
@@ -188,8 +230,8 @@ class DigestTree:
     def from_store(cls, store: dict[Hashable, Any]) -> "DigestTree":
         """A from-scratch tree over ``store`` — the purity oracle.
 
-        An incrementally-maintained tree must equal this rebuild at all
-        times; the chaos byte-budget checker asserts it after every run.
+        A lazily-maintained tree must equal this rebuild at every read; the
+        chaos byte-budget checker asserts it after every run.
         """
         tree = cls()
         for key in sorted(store, key=repr):
@@ -199,11 +241,12 @@ class DigestTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DigestTree):
             return NotImplemented
+        self._fold()
+        other._fold()
         return self._levels == other._levels and self._entries == other._entries
 
     def __repr__(self) -> str:
-        return (f"DigestTree(entries={len(self._entries)}, "
-                f"root={self.root():#018x})")
+        return f"DigestTree(entries={len(self)}, root={self.root():#018x})"
 
 
 @dataclass(slots=True)

@@ -115,10 +115,11 @@ class ShardNode(Node):
         self._dirty: dict[Hashable, set[Hashable]] = {}
         self._channels: dict[Hashable, AckedChannel] = {}
         self._gossip_round = 0
-        # Anti-entropy state: the incremental digest tree over the store
-        # (maintained in every gossip mode so mode flips never start from a
-        # stale tree) and at most one in-flight reconciliation per peer.
-        self._tree = DigestTree()
+        # Anti-entropy state: the lazy digest tree over the store (marked
+        # in every gossip mode so mode flips never start from a stale tree)
+        # and at most one in-flight reconciliation per peer.  The source
+        # reads ``self.store`` at fold time: ``reset_state`` rebinds it.
+        self._tree = DigestTree(lambda key: self.store[key])
         self._ae_sessions: dict[Hashable, AntiEntropySession] = {}
         self.peers: list[Hashable] = []
         self.set_peers(list(peers or []))
@@ -194,7 +195,7 @@ class ShardNode(Node):
                 self._owned.add(key)
             else:
                 self._owned.discard(key)
-        self._tree.update(key, store[key])
+        self._tree.mark(key)
         if self._dirty:
             marks = 0
             for peer, dirty in self._dirty.items():

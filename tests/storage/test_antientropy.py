@@ -11,10 +11,12 @@ repair round ships O(differing keys).
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Network, NetworkConfig, Simulator, wire_size
 from repro.lattices import GCounter, SetUnion
-from repro.storage import LatticeKVS
+from repro.storage import LatticeKVS, antientropy
 from repro.storage.antientropy import LEAF_LEVEL, DigestTree
 from repro.storage.ring import stable_digest
 
@@ -111,6 +113,132 @@ class TestDigestTree:
         assert sorted(seen) == sorted(keys)
 
 
+class TestLazyTree:
+    def test_marked_writes_fold_on_read(self):
+        store = {}
+        tree = DigestTree(store.__getitem__)
+        for i in range(30):
+            store[f"k-{i}"] = SetUnion({i})
+            tree.mark(f"k-{i}")
+        assert tree.root() == DigestTree.from_store(store).root()
+        store["k-0"] = SetUnion({0, 99})
+        tree.mark("k-0")
+        assert tree == DigestTree.from_store(store)
+        assert len(tree) == 30
+
+    def test_hot_key_folds_once_per_probe_not_once_per_write(self, monkeypatch):
+        """The put path's regression gate, as a count rather than a clock:
+        500 writes to one key between two anti-entropy probes cost no entry
+        digest at write time and one fold per replica at probe time."""
+        sim, net, kvs = build_kvs(full_sync_every=1, gossip_interval=None)
+        replica_a, replica_b = kvs.shards[0]
+        kvs.put("hot", SetUnion({-1}))
+        kvs.settle(100.0)
+        replica_a._start_anti_entropy(replica_b.node_id)
+        sim.run(until=sim.now + 100.0)
+        assert replica_a.store == replica_b.store
+
+        digests = []
+        updates = []
+        real_digest = antientropy.entry_digest
+        real_update = DigestTree.update
+
+        def counting_digest(key, value):
+            digests.append(key)
+            return real_digest(key, value)
+
+        def counting_update(tree, key, value):
+            updates.append(id(tree))
+            return real_update(tree, key, value)
+
+        monkeypatch.setattr(antientropy, "entry_digest", counting_digest)
+        monkeypatch.setattr(DigestTree, "update", counting_update)
+        for i in range(500):
+            replica_a.merge_local("hot", SetUnion({i}))
+        assert digests == [] and updates == []
+        replica_a._start_anti_entropy(replica_b.node_id)
+        sim.run(until=sim.now + 100.0)
+        assert replica_a.store == replica_b.store
+        # A folds the hot key once; B folds it once after the repair lands.
+        assert updates.count(id(replica_a._tree)) <= 1
+        assert updates.count(id(replica_b._tree)) <= 1
+        assert len(digests) <= 2
+        for replica in (replica_a, replica_b):
+            assert replica._tree == DigestTree.from_store(replica.store)
+
+
+# Few keys and replicas, so reads often land on a key still pending.
+_KEYS = [f"k-{i}" for i in range(4)]
+_READS = ("root", "len", "digest", "children", "leaf", "eq")
+_lazy_operation = st.one_of(
+    st.tuples(st.just("merge"), st.integers(0, 3), st.sampled_from(_KEYS),
+              st.integers(0, 5)),
+    st.tuples(st.just("drop"), st.integers(0, 3),
+              st.sets(st.sampled_from(_KEYS), max_size=3), st.none()),
+    st.tuples(st.just("lose"), st.integers(0, 3), st.none(), st.none()),
+    st.tuples(st.just("reshard"), st.integers(1, 3), st.none(), st.none()),
+    st.tuples(st.just("run"), st.integers(1, 20), st.none(), st.none()),
+    st.tuples(st.just("read"), st.integers(0, 3), st.sampled_from(_KEYS),
+              st.sampled_from(_READS)),
+)
+
+
+def _assert_read_matches_oracle(replica, key, read):
+    """One tree read on ``replica`` equals the same read on a from-scratch
+    rebuild of its live store, and the whole tree matches afterwards."""
+    tree = replica._tree
+    oracle = DigestTree.from_store(replica.store)
+    key_digest = stable_digest(key)
+    level = key_digest % LEAF_LEVEL
+    bucket = DigestTree.bucket_of(key_digest, level)
+    if read == "root":
+        assert tree.root() == oracle.root()
+    elif read == "len":
+        assert len(tree) == len(oracle)
+    elif read == "digest":
+        assert tree.digest(level, bucket) == oracle.digest(level, bucket)
+    elif read == "children":
+        assert (tree.child_digests(level, bucket)
+                == oracle.child_digests(level, bucket))
+    elif read == "leaf":
+        leaf = DigestTree.leaf_bucket(key)
+        assert tree.leaf_summary(leaf) == oracle.leaf_summary(leaf)
+    assert tree == oracle
+
+
+class TestLazyTreeProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_lazy_operation, max_size=40))
+    # Written, then dropped or lost before any read: no trace may remain.
+    @example([("merge", 0, "k-0", 1), ("merge", 0, "k-1", 2),
+              ("drop", 0, {"k-0"}, None), ("read", 0, "k-1", "leaf")])
+    @example([("merge", 0, "k-0", 1), ("lose", 0, None, None),
+              ("merge", 0, "k-1", 2), ("read", 0, "k-1", "len")])
+    def test_every_read_equals_the_from_store_rebuild(self, ops):
+        """Any interleaving of writes, drops, state loss, reshards and
+        message delivery: every read sees exactly the live store."""
+        sim, net, kvs = build_kvs(shards=2, replication=2,
+                                  gossip_interval=None)
+        for op, arg, target, extra in ops:
+            replicas = kvs.all_nodes()
+            if op == "merge":
+                replicas[arg % len(replicas)].merge_local(
+                    target, SetUnion({extra}))
+            elif op == "drop":
+                replicas[arg % len(replicas)].drop_keys(target)
+            elif op == "lose":
+                replicas[arg % len(replicas)].reset_state()
+            elif op == "reshard":
+                kvs.reshard(arg)
+            elif op == "run":
+                sim.run(until=sim.now + arg)
+            else:
+                _assert_read_matches_oracle(replicas[arg % len(replicas)],
+                                            target, extra)
+        for replica in kvs.all_nodes():
+            assert replica._tree == DigestTree.from_store(replica.store)
+
+
 class TestAntiEntropyLifecycle:
     @pytest.mark.parametrize("store_size", [200, 800])
     def test_idle_round_bytes_constant_in_store_size(self, store_size):
@@ -198,16 +326,17 @@ class TestAntiEntropyLifecycle:
         kvs.settle(200.0)
         survivor = kvs.shards[0][0]
         old_store = set(survivor.store)
-        old_leaves = dict(survivor._tree._levels[LEAF_LEVEL])
+        # Read through the tree's own reads, which fold pending writes.
+        old_leaves = {bucket: survivor._tree.digest(LEAF_LEVEL, bucket)
+                      for bucket in map(DigestTree.leaf_bucket, old_store)}
         kvs.reshard(4)
         kvs.settle(200.0)
         moved = old_store - set(survivor.store)
         assert moved, "reshard moved nothing; the test needs more keys"
         moved_buckets = {DigestTree.leaf_bucket(key) for key in moved}
-        new_leaves = survivor._tree._levels[LEAF_LEVEL]
         for bucket, digest in old_leaves.items():
             if bucket not in moved_buckets:
-                assert new_leaves.get(bucket) == digest, bucket
+                assert survivor._tree.digest(LEAF_LEVEL, bucket) == digest, bucket
         # And the incrementally-updated trees all match their stores.
         for replica in kvs.all_nodes():
             assert replica._tree == DigestTree.from_store(replica.store)
