@@ -26,19 +26,16 @@ def position_between(left: Sequence[int], right: Sequence[int]) -> tuple[int, ..
     start/end sentinels.
     """
     left_t = tuple(left)
-    right_t = tuple(right) if right else ()
+    right_t = tuple(right)
     if right_t and not left_t < right_t:
         raise ValueError(f"left position {left_t} must sort before right {right_t}")
     candidate = left_t + (1,)
     if not right_t or candidate < right_t:
         return candidate
-    # Descend until a gap opens up.
-    prefix = list(left_t)
-    prefix.append(0)
-    while tuple(prefix) >= right_t:
-        prefix.append(0)
-    prefix[-1] += 1
-    return tuple(prefix)
+    # Only a right that extends left by a suffix sorting at or below (1,)
+    # gets here.  Step just below the suffix's first component: the result
+    # still extends left (so sorts after it) and sorts before right.
+    return left_t + (right_t[len(left_t)] - 1,)
 
 
 def build_collab_program() -> HydroProgram:

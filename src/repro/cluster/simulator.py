@@ -142,22 +142,6 @@ class Simulator:
 
     # -- running ----------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Process the next event.  Returns False when the queue is empty."""
-        queue = self._queue
-        while queue:
-            event = heapq.heappop(queue)
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self.now = event.time
-            if self.tracing:
-                self._trace.append((self.now, event.label))
-            event.callback()
-            self._events_processed += 1
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire."""
         queue = self._queue

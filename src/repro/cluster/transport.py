@@ -86,10 +86,6 @@ class Parcel:
     rpc_kind: Optional[str] = None  # "request" | "reply" | None
     reply_to: Optional[Hashable] = None  # requester node id (requests only)
 
-    def wire_size(self) -> int:
-        """The parcel's cost when it travels alone (header + entries)."""
-        return wire_size(self.entries)
-
 
 @dataclass(frozen=True, slots=True)
 class Envelope:
@@ -100,14 +96,6 @@ class Envelope:
     """
 
     parcels: tuple[Parcel, ...]
-
-    def wire_size(self) -> int:
-        return WIRE_HEADER_BYTES + WIRE_ENTRY_BYTES * sum(
-            parcel.entries for parcel in self.parcels
-        )
-
-    def __len__(self) -> int:
-        return len(self.parcels)
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,20 +304,6 @@ class Transport:
         self._served: OrderedDict[tuple, Optional[Parcel]] = OrderedDict()
         self._rpc_ids = itertools.count()
         self._logical_ids = itertools.count()
-        # Local counters (the shared registry aggregates across nodes).
-        self.envelopes_sent = 0
-        self.logical_messages_sent = 0
-        self.bytes_sent = 0
-        self.header_bytes_saved = 0
-        #: Ticks this node's envelopes spent serializing onto their links
-        #: (0.0 while the network's transmission model is off).
-        self.serialization_ticks = 0.0
-        #: Ticks this node's envelopes spent waiting behind *other links'*
-        #: traffic in shared NIC queues (uplink + downlink; 0.0 unless
-        #: ``nic_bandwidth`` prices the NIC stage).
-        self.nic_wait_ticks = 0.0
-        #: mailbox -> {"messages": n, "entries": n, "bytes": n}
-        self.mailbox_stats: dict[str, dict[str, int]] = {}
 
     # -- sending ------------------------------------------------------------------
 
@@ -342,13 +316,7 @@ class Transport:
         ``network.register`` handlers and tests observe it exactly as
         before.
         """
-        size = wire_size(entries)
-        self._account_logical(mailbox, entries)
-        self._account_envelope(size, 1)
-        message = self.network.send(self.node_id, destination, mailbox, payload,
-                                    size_bytes=size)
-        self._account_transmission(message)
-        return message
+        return self._send(self.node_id, destination, mailbox, payload, entries)
 
     def queue(self, destination: Hashable, mailbox: str, payload: Any,
               entries: int = 0, _parcel: Optional[Parcel] = None) -> None:
@@ -414,54 +382,41 @@ class Transport:
                         f"{parcel.entries}, rpc_id={parcel.rpc_id}) was "
                         "mutated after queue(); the transport owns queued "
                         "payloads — snapshot before queueing instead")
-        envelope = Envelope(tuple(parcels))
-        # Single pass: entries are summed while each parcel is accounted,
-        # instead of re-walking the tuple through Envelope.wire_size().
-        total_entries = 0
-        for parcel in parcels:
-            self._account_logical(parcel.mailbox, parcel.entries)
-            total_entries += parcel.entries
-        size = WIRE_HEADER_BYTES + WIRE_ENTRY_BYTES * total_entries
-        self._account_envelope(size, len(parcels))
-        message = self.network.send(self.node_id, destination, TRANSPORT_MAILBOX,
-                                    envelope, size_bytes=size)
-        self._account_transmission(message)
+        self._send(self.node_id, destination, TRANSPORT_MAILBOX,
+                   Envelope(tuple(parcels)),
+                   sum(parcel.entries for parcel in parcels), len(parcels))
 
-    def _account_logical(self, mailbox: str, entries: int) -> None:
-        stats = self.mailbox_stats.setdefault(
-            mailbox, {"messages": 0, "entries": 0})
-        stats["messages"] += 1
-        stats["entries"] += entries
-        self.logical_messages_sent += 1
-        self.metrics.increment("transport.logical_messages_sent")
+    def _send(self, source: Hashable, destination: Hashable, mailbox: str,
+              payload: Any, entries: int, parcel_count: int = 1) -> Message:
+        """Put one physical message on the network and ledger it.
 
-    def _account_transmission(self, message: Message) -> None:
-        """Ledger the transmission cost the network stamped on ``message``:
-        with the bandwidth model on, bytes take wall-clock time, and the
-        batching economy shows up as amortized serialization ticks (one
-        header, one queue slot) rather than just saved header bytes."""
+        The shared registry is the transport's only ledger: ``parcel_count``
+        logical messages ride one envelope of ``entries`` entries, saving
+        a header per extra parcel.  With the bandwidth model on, bytes
+        take time, so the transmission cost the network stamped on the
+        message is ledgered too — batching amortizes serialization ticks
+        (one header, one queue slot), not just header bytes.
+        """
+        metrics = self.metrics
+        size = wire_size(entries)
+        metrics.increment("transport.logical_messages_sent", parcel_count)
+        metrics.increment("transport.envelopes_sent")
+        metrics.increment("transport.bytes_sent", size)
+        if parcel_count > 1:
+            metrics.increment("transport.header_bytes_saved",
+                              (parcel_count - 1) * WIRE_HEADER_BYTES)
+        message = self.network.send(source, destination, mailbox, payload,
+                                    size_bytes=size)
         timing = message.transmission
-        if timing is _NO_COST:  # model off: nothing stamped, nothing to ledger
-            return
-        queue_wait, serialization, nic_wait = timing
-        if serialization:
-            self.serialization_ticks += serialization
-            self.metrics.increment("transport.serialization_ticks", serialization)
-        if queue_wait:
-            self.metrics.increment("transport.queue_wait_ticks", queue_wait)
-        if nic_wait:
-            self.nic_wait_ticks += nic_wait
-            self.metrics.increment("transport.nic_wait_ticks", nic_wait)
-
-    def _account_envelope(self, size: int, parcel_count: int) -> None:
-        self.envelopes_sent += 1
-        self.bytes_sent += size
-        saved = (parcel_count - 1) * WIRE_HEADER_BYTES
-        self.header_bytes_saved += saved
-        self.metrics.increment("transport.envelopes_sent")
-        self.metrics.increment("transport.bytes_sent", size)
-        if saved:
-            self.metrics.increment("transport.header_bytes_saved", saved)
+        if timing is not _NO_COST:  # model off: nothing stamped, nothing to ledger
+            queue_wait, serialization, nic_wait = timing
+            if serialization:
+                metrics.increment("transport.serialization_ticks", serialization)
+            if queue_wait:
+                metrics.increment("transport.queue_wait_ticks", queue_wait)
+            if nic_wait:
+                metrics.increment("transport.nic_wait_ticks", nic_wait)
+        return message
 
     # -- RPC: requester side ------------------------------------------------------
 
@@ -571,13 +526,8 @@ class Transport:
             # reaches the originator (the pre-transport relay idiom — a
             # queued parcel cannot spoof its sender, so this leg ships raw
             # but is still accounted like any other logical message).
-            size = wire_size(entries)
-            self._account_logical(request.mailbox, entries)
-            self._account_envelope(size, 1)
-            relayed = self.network.send(request.source, destination,
-                                        request.mailbox, request.payload,
-                                        size_bytes=size)
-            self._account_transmission(relayed)
+            self._send(request.source, destination, request.mailbox,
+                       request.payload, entries)
 
     # -- receiving ----------------------------------------------------------------
 
@@ -676,8 +626,3 @@ class Transport:
         if destination is not None:
             return len(self._queues.get(destination, ()))
         return sum(len(parcels) for parcels in self._queues.values())
-
-    def __repr__(self) -> str:
-        return (f"Transport({self.node_id!r}, envelopes={self.envelopes_sent}, "
-                f"logical={self.logical_messages_sent}, "
-                f"saved={self.header_bytes_saved}B)")

@@ -91,18 +91,6 @@ class SingleNodeInterpreter:
             raise InvariantViolation(outcome.rejected[request_id])
         return outcome.responses.get(request_id)
 
-    def deliver(self, mailbox: str, payload: Any) -> None:
-        """Deliver an externally produced message into a handler mailbox."""
-        if mailbox not in self.program.handlers:
-            raise UnknownHandlerError(f"no handler for mailbox {mailbox!r}")
-        request_id = (self.node_id, next(self._request_counter))
-        args = payload if isinstance(payload, dict) else {"payload": payload}
-        self._mailboxes.setdefault(mailbox, []).append(Request(request_id, mailbox, args))
-
-    @property
-    def has_pending_work(self) -> bool:
-        return any(self._mailboxes.values()) or bool(self._pending_local_sends)
-
     # -- reads ---------------------------------------------------------------------
 
     def view(self) -> StateView:
@@ -187,18 +175,3 @@ class SingleNodeInterpreter:
                     outcome.outbox.append(send)
 
         return outcome
-
-    def run_until_quiescent(self, max_ticks: int = 1000) -> list[TickOutcome]:
-        """Run ticks until no pending requests or local sends remain."""
-        outcomes = []
-        for _ in range(max_ticks):
-            if not self.has_pending_work:
-                return outcomes
-            outcomes.append(self.run_tick())
-        raise RuntimeError(
-            f"program {self.program.name!r} did not quiesce within {max_ticks} ticks"
-        )
-
-    def drain_outbox(self) -> list[SendEffect]:
-        sends, self.outbox = self.outbox, []
-        return sends

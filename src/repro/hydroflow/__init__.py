@@ -36,13 +36,6 @@ from repro.hydroflow.lattice_ops import (
     LatticeThresholdOperator,
     LatticeMapOperator,
 )
-from repro.hydroflow.network_ops import (
-    EgressOperator,
-    IngressOperator,
-    bind_egress_to_node,
-    broadcast_address,
-    hash_address,
-)
 from repro.hydroflow.reactive import ReactiveCell, ReactiveGraph
 from repro.hydroflow.scheduler import TickResult, TickScheduler
 
@@ -64,11 +57,6 @@ __all__ = [
     "LatticeMergeOperator",
     "LatticeThresholdOperator",
     "LatticeMapOperator",
-    "IngressOperator",
-    "EgressOperator",
-    "bind_egress_to_node",
-    "broadcast_address",
-    "hash_address",
     "ReactiveCell",
     "ReactiveGraph",
     "TickScheduler",

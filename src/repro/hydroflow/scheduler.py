@@ -32,7 +32,6 @@ from repro.hydroflow.operators import (
     SinkOperator,
     SourceOperator,
 )
-from repro.hydroflow.network_ops import IngressOperator
 
 
 @dataclass
@@ -73,8 +72,9 @@ class TickScheduler:
         self.max_rounds = max_rounds
         self.tick_count = 0
         #: Callbacks run after every operator's ``end_of_tick`` — the seam
-        #: where a hosting node's transport is flushed so the tick's egress
-        #: output ships as batched envelopes (see ``bind_egress_to_node``).
+        #: where a hosting node's transport is flushed so the parcels a tick
+        #: queued ship as batched envelopes (lint rule RL008 accepts it as
+        #: a cadence flush).
         self.end_of_tick_hooks: list[Callable[[], None]] = []
         self._strata = self._assign_strata()
         self._max_stratum = max(self._strata.values(), default=0)
@@ -110,7 +110,7 @@ class TickScheduler:
         self._operators: list[Operator] = list(graph.operators())
         self._feeders: list[Operator] = [
             operator for operator in self._operators
-            if isinstance(operator, (SourceOperator, IngressOperator))
+            if isinstance(operator, SourceOperator)
         ]
         self._ready: list[deque[Port]] = [
             deque() for _ in range(self._max_stratum + 1)
@@ -153,12 +153,12 @@ class TickScheduler:
     # -- tick execution ---------------------------------------------------------
 
     def run_tick(self) -> TickResult:
-        """Run one tick: drain sources/ingresses, run strata to flush fixpoint."""
+        """Run one tick: drain sources, run strata to flush fixpoint."""
         self.tick_count += 1
         total_items = 0
         total_rounds = 0
 
-        # Seed buffers from sources and ingress queues.
+        # Seed buffers from the sources.
         for operator in self._feeders:
             if operator.has_pending:
                 self._emit(operator.name, operator.drain())
@@ -198,9 +198,6 @@ class TickScheduler:
             items_moved=total_items,
             strata=self._max_stratum + 1,
         )
-
-    def run_ticks(self, count: int) -> list[TickResult]:
-        return [self.run_tick() for _ in range(count)]
 
     # -- internals --------------------------------------------------------------
 

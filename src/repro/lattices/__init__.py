@@ -27,11 +27,7 @@ from repro.lattices.pairs import DominatingPair, PairLattice, ProductLattice
 from repro.lattices.primitives import BoolAnd, BoolOr, MaxInt, MinInt
 from repro.lattices.sets import SetUnion, TwoPhaseSet
 from repro.lattices.vector_clock import CausalValue, VectorClock
-from repro.lattices.monotone import (
-    MonotoneFunction,
-    is_monotone_on_samples,
-    monotone,
-)
+from repro.lattices.monotone import is_monotone_on_samples
 
 __all__ = [
     "BOTTOM",
@@ -54,7 +50,5 @@ __all__ = [
     "PairLattice",
     "ProductLattice",
     "DominatingPair",
-    "MonotoneFunction",
-    "monotone",
     "is_monotone_on_samples",
 ]

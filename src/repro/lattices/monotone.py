@@ -3,58 +3,18 @@
 The paper's Hydroflow section (§8.2) calls for an explicit ``monotone``
 type modifier so the compiler can typecheck monotonicity instead of trusting
 the programmer (Figure 4's cautionary tale).  In Python we cannot prove
-monotonicity statically, so this module provides:
-
-* :class:`MonotoneFunction` / :func:`monotone` — a declaration wrapper the
-  HydroLogic monotonicity checker trusts and propagates through dataflow.
-* :func:`is_monotone_on_samples` — a dynamic check used by tests and by the
-  checker's ``verify=True`` mode, which falsifies bogus declarations on a
-  sample of lattice points (a practical stand-in for the static typechecker
-  the paper envisions).
+monotonicity statically, so :func:`is_monotone_on_samples` checks it
+dynamically instead: it falsifies a bogus monotonicity claim on a sample of
+lattice points (a practical stand-in for the static typechecker the paper
+envisions).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.lattices.base import Lattice
-
-
-class MonotoneFunction:
-    """A function declared to be monotone between two lattices.
-
-    The wrapper is callable and carries the declaration so the HydroLogic
-    monotonicity analysis can treat applications of it as order-preserving.
-    """
-
-    __slots__ = ("func", "name", "verified")
-
-    def __init__(self, func: Callable, name: str | None = None) -> None:
-        self.func = func
-        self.name = name or getattr(func, "__name__", "<monotone>")
-        self.verified = False
-
-    def __call__(self, *args, **kwargs):
-        return self.func(*args, **kwargs)
-
-    def verify(self, samples: Sequence[Lattice]) -> bool:
-        """Dynamically check monotonicity over pairs drawn from ``samples``.
-
-        Sets :attr:`verified` and returns the verdict.  A ``False`` verdict is
-        definitive (a counterexample exists); ``True`` only means no
-        counterexample was found among the samples.
-        """
-        self.verified = is_monotone_on_samples(self.func, samples)
-        return self.verified
-
-    def __repr__(self) -> str:
-        return f"MonotoneFunction({self.name})"
-
-
-def monotone(func: Callable) -> MonotoneFunction:
-    """Decorator declaring ``func`` monotone with respect to lattice order."""
-    return MonotoneFunction(func)
 
 
 def is_monotone_on_samples(func: Callable[[Lattice], Lattice], samples: Iterable[Lattice]) -> bool:

@@ -396,23 +396,23 @@ class UnflushedCadenceQueue(Rule):
 
     ``Transport.queue`` auto-flushes at the same instant for event-driven
     code, but *cadence* operators (tick-driven: gossip rounds, flow
-    egress) run inside a tick loop where the auto-flush race is exactly
-    the bug PR 4's ``end_of_tick_hooks`` contract closed.  Heuristic: a
-    class with a tick-shaped method that calls ``.queue(...)``, in a
-    module that never references ``end_of_tick_hooks`` or
-    ``bind_egress_to_node`` and never calls ``.flush(...)``, is flagged at
+    operators) run inside a tick loop where the auto-flush races the tick
+    boundary; the scheduler's ``end_of_tick_hooks`` seam closes that
+    race.  Heuristic: a class with a tick-shaped method that calls
+    ``.queue(...)``, in a module that never references
+    ``end_of_tick_hooks`` and never calls ``.flush(...)``, is flagged at
     the queue site.
     """
 
     code = "RL008"
     name = "unflushed-cadence-queue"
     summary = ("cadence (tick-driven) operators that queue() must bind a "
-               "flush: end_of_tick_hooks, bind_egress_to_node, or an "
-               "explicit flush() call in the module")
+               "flush: end_of_tick_hooks or an explicit flush() call in the "
+               "module")
 
     _CADENCE_METHODS = {"tick", "on_tick", "end_of_tick", "run_tick",
                         "gossip_tick"}
-    _FLUSH_MARKERS = {"end_of_tick_hooks", "bind_egress_to_node"}
+    _FLUSH_MARKER = "end_of_tick_hooks"
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         if self._module_binds_flush(ctx.tree):
@@ -433,13 +433,13 @@ class UnflushedCadenceQueue(Rule):
                         ctx, descendant,
                         "cadence operator queues parcels but this module "
                         "never binds a flush (end_of_tick_hooks / "
-                        "bind_egress_to_node / explicit flush()); queued "
-                        "parcels can straddle the tick boundary")
+                        "explicit flush()); queued parcels can straddle the "
+                        "tick boundary")
 
     def _module_binds_flush(self, tree: ast.Module) -> bool:
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)):
-                if _terminal_name(node) in self._FLUSH_MARKERS:
+                if _terminal_name(node) == self._FLUSH_MARKER:
                     return True
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)

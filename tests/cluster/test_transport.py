@@ -70,9 +70,10 @@ class TestBatching:
         assert got == list(range(10))
         assert net.messages_sent == 1  # one envelope on the wire
         assert net.bytes_sent == WIRE_HEADER_BYTES + 10 * WIRE_ENTRY_BYTES
-        assert a.transport.envelopes_sent == 1
-        assert a.transport.logical_messages_sent == 10
-        assert a.transport.header_bytes_saved == 9 * WIRE_HEADER_BYTES
+        assert net.metrics.counter("transport.envelopes_sent") == 1
+        assert net.metrics.counter("transport.logical_messages_sent") == 10
+        assert net.metrics.counter("transport.header_bytes_saved") == \
+            9 * WIRE_HEADER_BYTES
 
     def test_batching_disabled_ships_one_envelope_per_parcel(self):
         sim, net, a, b = build_pair(batching=False)
@@ -83,7 +84,7 @@ class TestBatching:
         sim.run_until_idle()
         assert got == list(range(10))
         assert net.messages_sent == 10
-        assert a.transport.header_bytes_saved == 0
+        assert net.metrics.counter("transport.header_bytes_saved") == 0
 
     def test_flush_order_is_sorted_by_destination(self):
         sim, net, a, b = build_pair()
@@ -95,14 +96,6 @@ class TestBatching:
         a.queue("b", "inbox", 1)
         sim.run_until_idle()
         assert order == ["b", "c"]  # sorted destinations, same delay config
-
-    def test_mailbox_stats_track_logical_traffic(self):
-        sim, net, a, b = build_pair()
-        a.queue("b", "inbox", "x", entries=3)
-        a.queue("b", "other", "y", entries=2)
-        sim.run_until_idle()
-        assert a.transport.mailbox_stats["inbox"] == {"messages": 1, "entries": 3}
-        assert a.transport.mailbox_stats["other"] == {"messages": 1, "entries": 2}
 
     def test_crashed_sender_ships_nothing(self):
         sim, net, a, b = build_pair()
@@ -412,10 +405,8 @@ class TestSerializationTicks:
     def test_send_now_ledgers_serialization(self):
         sim, net, a, b = self.bandwidth_pair()
         a.send("b", "inbox", "x", entries=4)
-        expected = wire_size(4) / 100.0
-        assert a.transport.serialization_ticks == pytest.approx(expected)
         assert net.metrics.counter("transport.serialization_ticks") == \
-            pytest.approx(expected)
+            pytest.approx(wire_size(4) / 100.0)
 
     def test_batched_envelope_serializes_once(self):
         """Ten parcels in one envelope pay one header's serialization; ten
@@ -425,13 +416,13 @@ class TestSerializationTicks:
         for i in range(10):
             a_b.queue("b", "inbox", i, entries=1)
         sim_b.run_until_idle()
-        batched = a_b.transport.serialization_ticks
+        batched = net_b.metrics.counter("transport.serialization_ticks")
 
         sim_u, net_u, a_u, _ = self.bandwidth_pair()
         for i in range(10):
             a_u.send("b", "inbox", i, entries=1)
         sim_u.run_until_idle()
-        unbatched = a_u.transport.serialization_ticks
+        unbatched = net_u.metrics.counter("transport.serialization_ticks")
 
         assert batched == pytest.approx(
             (WIRE_HEADER_BYTES + 10 * WIRE_ENTRY_BYTES) / 100.0)
@@ -452,6 +443,5 @@ class TestSerializationTicks:
         for i in range(5):
             a.queue("b", "inbox", i, entries=2)
         sim.run_until_idle()
-        assert a.transport.serialization_ticks == 0.0
         assert net.metrics.counter("transport.serialization_ticks") == 0.0
         assert net.metrics.counter("transport.queue_wait_ticks") == 0.0
